@@ -25,6 +25,7 @@ from .numtheory import (
     factorize,
     is_loeschian,
     is_prime,
+    iter_two_q,
     solve_three_d2,
     solve_two_q,
 )
@@ -41,7 +42,6 @@ from .oracle import (
     scan_tetrahedra,
     scan_triangles,
 )
-from .parallel import THREADS_ENV, worker_count
 from .tetra import (
     FaceNormalSet,
     LatticeTetrahedron,
@@ -50,6 +50,7 @@ from .tetra import (
     enumerate_t0,
     face_normals,
     fourth_vertex,
+    signed_completions,
     verify_orthogonality,
     verify_regular,
 )
@@ -83,7 +84,6 @@ __all__ = [
     "Point",
     "RSPair",
     "RangeError",
-    "THREADS_ENV",
     "UsageError",
     "VerificationError",
     "ZtetraError",
@@ -102,11 +102,13 @@ __all__ = [
     "fourth_vertex",
     "is_loeschian",
     "is_prime",
+    "iter_two_q",
     "omega",
     "primitive_triples",
     "read_bfile",
     "scan_tetrahedra",
     "scan_triangles",
+    "signed_completions",
     "solve_three_d2",
     "solve_two_q",
     "tau_orbit",
@@ -114,7 +116,6 @@ __all__ = [
     "verify_equilateral",
     "verify_orthogonality",
     "verify_regular",
-    "worker_count",
     "zeta",
     "__version__",
 ]

@@ -2,7 +2,7 @@
 
 Every subcommand prints one JSON object per line with stable field
 names, sorted keys and no whitespace, so identical arguments give
-byte-identical output across runs and thread counts.  --format csv is a
+byte-identical output across runs.  --format csv is a
 flat alternative for count records.  Exit codes: 0 success, 1 domain or
 verification failure (including a nonempty diff), 2 usage errors.
 """
@@ -29,14 +29,13 @@ from .oracle import (
 from .tetra import (
     FaceNormalSet,
     LatticeTetrahedron,
-    complete_tetrahedron,
     enumerate_t0,
     face_normals,
-    fourth_vertex,
+    signed_completions,
     verify_orthogonality,
     verify_regular,
 )
-from .triangle import ORIGIN, coeff_matrix, triangle_points, verify_equilateral
+from .triangle import coeff_matrix, triangle_points, verify_equilateral
 
 
 class Emitter:
@@ -143,14 +142,8 @@ def cmd_triangles(args, out: Emitter) -> int:
 
 
 def cmd_complete(args, out: Emitter) -> int:
-    quad = NormalQuadruple(*args.quad)
-    cm = coeff_matrix(quad)
-    tri = triangle_points(cm, args.m, args.n)
-    for sign in (1, -1):
-        apex = fourth_vertex(cm, args.m, args.n, sign)
-        if apex is None:
-            continue
-        tet = LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))
+    cm = coeff_matrix(NormalQuadruple(*args.quad))
+    for sign, tet in signed_completions(cm, args.m, args.n):
         provenance = {
             "quad": list(args.quad),
             "r": cm.rs.r,
@@ -166,9 +159,9 @@ def cmd_complete(args, out: Emitter) -> int:
 
 
 def cmd_enumerate_t0(args, out: Emitter) -> int:
-    tets = sorted(enumerate_t0(args.ell), key=lambda t: t.vertices)
+    tets = enumerate_t0(args.ell)
     if not args.count_only:
-        for tet in tets:
+        for tet in sorted(tets, key=lambda t: t.vertices):
             out.emit(_tetra_record(tet, {"ell": args.ell}))
     out.emit({"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": len(tets)})
     return 0

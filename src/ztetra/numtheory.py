@@ -8,6 +8,7 @@ inputs (up to roughly 10**12) this package targets.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd, isqrt
@@ -162,23 +163,35 @@ def count_representations(k: int) -> int:
     return 6 * total
 
 
+def iter_two_q(q: int) -> Iterator[RSPair]:
+    """Lazily yield the integer pairs (r, s) with s*s + 3*r*r == 2*q.
+
+    The order is (|r|, r, s), the order of solve_two_q, so a caller
+    that stops at the first pair it can use never builds the rest.
+    """
+    check_range("q", q, 1)
+    return _two_q_pairs(q)
+
+
+def _two_q_pairs(q: int) -> Iterator[RSPair]:
+    r = 0
+    while 3 * r * r <= 2 * q:
+        rest = 2 * q - 3 * r * r
+        s = isqrt(rest)
+        if s * s == rest:
+            for signed_r in ((-r, r) if r else (0,)):
+                for signed_s in ((-s, s) if s else (0,)):
+                    yield RSPair(signed_r, signed_s, q)
+        r += 1
+
+
 def solve_two_q(q: int) -> list[RSPair]:
     """All integer pairs (r, s) with s*s + 3*r*r == 2*q.
 
     The list is closed under sign flips of either component and sorted
     by (|r|, r, s); it is empty when 2*q is not represented.
     """
-    check_range("q", q, 1)
-    found: set[tuple[int, int]] = set()
-    r = 0
-    while 3 * r * r <= 2 * q:
-        rest = 2 * q - 3 * r * r
-        s = isqrt(rest)
-        if s * s == rest:
-            found.update({(r, s), (r, -s), (-r, s), (-r, -s)})
-        r += 1
-    ordered = sorted(found, key=lambda p: (abs(p[0]), p[0], p[1]))
-    return [RSPair(r, s, q) for r, s in ordered]
+    return list(iter_two_q(q))
 
 
 def solve_three_d2(d: int) -> list[NormalQuadruple]:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .errors import DomainError, RangeError
 from .numtheory import check_range
-from .parallel import map_chunks, worker_count
 from .tetra import LatticeTetrahedron, verify_regular
 from .triangle import ORIGIN, Point, dist_sq, sub, verify_equilateral
 
@@ -63,53 +62,38 @@ def _is_twice_square(s2: int) -> bool:
     return root * root == half
 
 
-def scan_triangles(points, *, workers: int | None = None) -> list[Triangle]:
+def scan_triangles(points) -> list[Triangle]:
     """All equilateral triangles with vertices in the given point set.
 
     Candidates are 3-cliques of the equal-distance graphs; each one is
     confirmed with verify_equilateral after translating a vertex to the
-    origin.  Output is sorted, so it is deterministic for any worker
-    count.
+    origin.  Output is sorted.
     """
     pts = sorted({tuple(p) for p in points})
-    buckets = _distance_buckets(pts)
-
-    def run(keys: list[int]) -> list[tuple[int, int, int]]:
-        found: list[tuple[int, int, int]] = []
-        for s2 in keys:
-            found.extend(_cliques(buckets[s2], want_tetra=False)[0])
-        return found
-
     out: list[Triangle] = []
-    for part in map_chunks(run, sorted(buckets), worker_count(workers)):
-        for i, j, t in part:
+    for pairs in _distance_buckets(pts).values():
+        for i, j, t in _cliques(pairs, want_tetra=False)[0]:
             tri = (pts[i], pts[j], pts[t])
             verify_equilateral(sub(tri[1], tri[0]), sub(tri[2], tri[0]))
             out.append(tri)
     return sorted(out)
 
 
-def scan_tetrahedra(points, *, prune: bool = True, workers: int | None = None) -> list[Tetrahedron]:
+def scan_tetrahedra(points, *, prune: bool = True) -> list[Tetrahedron]:
     """All regular tetrahedra with vertices in the given point set.
 
     With prune=True only squared distances of the form 2*k*k are
     examined (no other squared side occurs; the unpruned scan is kept
     around so tests can observe that fact rather than assume it).
-    Every candidate 4-clique is confirmed with verify_regular.
+    Every candidate 4-clique is confirmed with verify_regular.  Output
+    is sorted.
     """
     pts = sorted({tuple(p) for p in points})
-    buckets = _distance_buckets(pts)
-    keys = sorted(s2 for s2 in buckets if not prune or _is_twice_square(s2))
-
-    def run(chunk: list[int]) -> list[tuple[int, int, int, int]]:
-        found: list[tuple[int, int, int, int]] = []
-        for s2 in chunk:
-            found.extend(_cliques(buckets[s2], want_tetra=True)[1])
-        return found
-
     out: list[Tetrahedron] = []
-    for part in map_chunks(run, keys, worker_count(workers)):
-        for i, j, t, u in part:
+    for s2, pairs in _distance_buckets(pts).items():
+        if prune and not _is_twice_square(s2):
+            continue
+        for i, j, t, u in _cliques(pairs, want_tetra=True)[1]:
             tet = (pts[i], pts[j], pts[t], pts[u])
             verify_regular(*tet)
             out.append(tet)
@@ -127,25 +111,23 @@ def _grid_points(n: int) -> list[Point]:
     return [(x, y, z) for x in range(n + 1) for y in range(n + 1) for z in range(n + 1)]
 
 
-def brute_triangles_grid(n: int, *, force: bool = False, workers: int | None = None) -> list[Triangle]:
+def brute_triangles_grid(n: int, *, force: bool = False) -> list[Triangle]:
     """Equilateral triangles with vertices in the cube {0..n}^3.
 
     Counts distinct vertex sets; the n = 1 cube has 8 (the faces of the
     two inscribed tetrahedra).
     """
     _check_grid_size(n, force)
-    return scan_triangles(_grid_points(n), workers=workers)
+    return scan_triangles(_grid_points(n))
 
 
-def brute_tetrahedra_grid(
-    n: int, *, prune: bool = True, force: bool = False, workers: int | None = None
-) -> list[Tetrahedron]:
+def brute_tetrahedra_grid(n: int, *, prune: bool = True, force: bool = False) -> list[Tetrahedron]:
     """Regular tetrahedra with vertices in the cube {0..n}^3.
 
     The n = 1 cube contains exactly the 2 inscribed regular tetrahedra.
     """
     _check_grid_size(n, force)
-    return scan_tetrahedra(_grid_points(n), prune=prune, workers=workers)
+    return scan_tetrahedra(_grid_points(n), prune=prune)
 
 
 def brute_t0(ell: int, *, bound: int | None = None) -> set[LatticeTetrahedron]:

@@ -11,6 +11,7 @@ any such tetrahedron carries.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -18,10 +19,10 @@ from math import gcd, isqrt
 from .eisenstein import omega, zeta
 from .errors import ConstructionError, DomainError, VerificationError
 from .numtheory import NormalQuadruple, check_range, solve_three_d2
-from .parallel import map_chunks, worker_count
 from .triangle import (
     ORIGIN,
     CoeffMatrix,
+    LatticeTriangle,
     Point,
     coeff_matrix,
     cross,
@@ -86,6 +87,40 @@ def verify_regular(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
     return side
 
 
+def _apexes(cm: CoeffMatrix, m: int, n: int) -> tuple[LatticeTriangle, list[tuple[int, Point]]]:
+    """The (m, n) triangle of cm, built and re-verified once, and its
+    lattice apexes as (sign, apex) pairs (see fourth_vertex)."""
+    tri = triangle_points(cm, m, n)
+    value = zeta(m, n)
+    k = isqrt(value)
+    if k * k != value:
+        raise DomainError(f"zeta{(m, n)} = {value} is not a positive perfect square")
+    a, b, c = cm.quad.normal
+    x, y, z = (tri.p[0] + tri.q[0], tri.p[1] + tri.q[1], tri.p[2] + tri.q[2])
+    apexes: list[tuple[int, Point]] = []
+    for sign in (1, -1):
+        step = sign * 2 * k
+        nums = (x + step * a, y + step * b, z + step * c)
+        if not (nums[0] % 3 or nums[1] % 3 or nums[2] % 3):
+            apexes.append((sign, (nums[0] // 3, nums[1] // 3, nums[2] // 3)))
+    return tri, apexes
+
+
+def _tetrahedron(tri: LatticeTriangle, apex: Point) -> LatticeTetrahedron:
+    """The re-verified tetrahedron over tri with the given apex."""
+    tet = LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))
+    if tet.side_sq != tri.side_sq:
+        raise ConstructionError(f"completion changed the squared side: {tet.side_sq} != {tri.side_sq}")
+    return tet
+
+
+def signed_completions(cm: CoeffMatrix, m: int, n: int) -> list[tuple[int, LatticeTetrahedron]]:
+    """Regular tetrahedra over the (m, n) triangle of cm, each paired
+    with the side (+1 or -1) of the plane that holds its apex."""
+    tri, apexes = _apexes(cm, m, n)
+    return [(sign, _tetrahedron(tri, apex)) for sign, apex in apexes]
+
+
 def fourth_vertex(cm: CoeffMatrix, m: int, n: int, sign: int) -> Point | None:
     """Apex over the (m, n) triangle on the chosen side, or None.
 
@@ -95,20 +130,7 @@ def fourth_vertex(cm: CoeffMatrix, m: int, n: int, sign: int) -> Point | None:
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    value = zeta(m, n)
-    k = isqrt(value)
-    if k * k != value or k == 0:
-        raise DomainError(f"zeta{(m, n)} = {value} is not a positive perfect square")
-    tri = triangle_points(cm, m, n)
-    a, b, c = cm.quad.normal
-    nums = (
-        tri.p[0] + tri.q[0] + sign * 2 * k * a,
-        tri.p[1] + tri.q[1] + sign * 2 * k * b,
-        tri.p[2] + tri.q[2] + sign * 2 * k * c,
-    )
-    if any(v % 3 for v in nums):
-        return None
-    return (nums[0] // 3, nums[1] // 3, nums[2] // 3)
+    return dict(_apexes(cm, m, n)[1]).get(sign)
 
 
 def complete_tetrahedron(quad: NormalQuadruple, cm: CoeffMatrix, m: int, n: int) -> list[LatticeTetrahedron]:
@@ -119,50 +141,39 @@ def complete_tetrahedron(quad: NormalQuadruple, cm: CoeffMatrix, m: int, n: int)
     """
     if quad != cm.quad:
         raise DomainError("quad does not match the coefficient matrix")
-    tri = triangle_points(cm, m, n)
-    out: list[LatticeTetrahedron] = []
-    for sign in (1, -1):
-        apex = fourth_vertex(cm, m, n, sign)
-        if apex is None:
-            continue
-        tet = LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))
-        if tet.side_sq != tri.side_sq:
-            raise ConstructionError(
-                f"completion changed the squared side: {tet.side_sq} != {tri.side_sq}")
-        out.append(tet)
-    return out
+    return [tet for _, tet in signed_completions(cm, m, n)]
 
 
-def enumerate_t0(ell: int, *, workers: int | None = None) -> set[LatticeTetrahedron]:
+def enumerate_t0(ell: int) -> set[LatticeTetrahedron]:
     """Every regular lattice tetrahedron with a vertex at the origin and
     squared side 2*ell*ell.
 
     For each odd divisor d of ell and each primitive quadruple at scale
     d, the triangles with parameters in omega(ell / d) are completed on
-    both sides of their plane; duplicates collapse through the canonical
-    vertex order.  The counts start 8, 8, 40, 8, 56 for ell = 1..5.
+    both sides of their plane.  Each tetrahedron has three faces through
+    the origin and the walk builds each of them exactly once, so keeping
+    a completion only when its apex is lexicographically greater than
+    both other non-origin vertices (its canonical face) emits every
+    tetrahedron exactly once; the set never deduplicates.  The counts
+    start 8, 8, 40, 8, 56 for ell = 1..5.
     """
     check_range("ell", ell, 1)
-    jobs: list[tuple[NormalQuadruple, list[tuple[int, int]]]] = []
+    return set(_walk_t0(ell))
+
+
+def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
+    """The one-pass walk behind enumerate_t0, one tetrahedron per canonical face."""
     for d in range(1, ell + 1, 2):
         if ell % d:
             continue
         pairs = sorted(omega(ell // d))
         for quad in solve_three_d2(d):
-            jobs.append((quad, pairs))
-
-    def run(batch) -> set[LatticeTetrahedron]:
-        found: set[LatticeTetrahedron] = set()
-        for quad, pairs in batch:
             cm = coeff_matrix(quad)
             for m, n in pairs:
-                found.update(complete_tetrahedron(quad, cm, m, n))
-        return found
-
-    out: set[LatticeTetrahedron] = set()
-    for part in map_chunks(run, jobs, worker_count(workers)):
-        out |= part
-    return out
+                tri, apexes = _apexes(cm, m, n)
+                for _, apex in apexes:
+                    if apex > tri.p and apex > tri.q:
+                        yield _tetrahedron(tri, apex)
 
 
 def face_normals(tet: LatticeTetrahedron) -> FaceNormalSet:

@@ -1,13 +1,13 @@
 """End-to-end CLI behavior: records, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from ztetra.cli import main
-from ztetra.parallel import THREADS_ENV
 
 
 def run(capsys, *argv):
@@ -104,6 +104,22 @@ def test_complete_with_normals(capsys):
     for a, b, c, d in recs[1]["faces"]:
         assert a * a + b * b + c * c == 3 * d * d
 
+    # k = 3: both sides of the plane complete; the bytes are pinned.
+    code, out = run(capsys, "complete", "--quad", "1,1,1,1", "--m", "3", "--n", "0",
+                    "--with-normals")
+    assert code == 0
+    provenance = '"provenance":{"m":3,"n":0,"quad":[1,1,1,1],"r":0,"s":-2,"sign":%d}'
+    assert out.splitlines() == [
+        '{"ell":3,"kind":"tetrahedron",' + provenance % 1
+        + ',"side_sq":18,"vertices":[[0,-3,3],[0,0,0],[3,-3,0],[3,0,3]]}',
+        '{"faces":[[1,1,-1,1],[1,-1,1,1],[-1,1,1,1],[-1,-1,-1,1]],"kind":"normal-set",'
+        + provenance % 1 + '}',
+        '{"ell":3,"kind":"tetrahedron",' + provenance % -1
+        + ',"side_sq":18,"vertices":[[-1,-4,-1],[0,-3,3],[0,0,0],[3,-3,0]]}',
+        '{"faces":[[1,1,1,1],[1,1,-5,3],[1,-5,1,3],[-5,1,1,3]],"kind":"normal-set",'
+        + provenance % -1 + '}',
+    ]
+
 
 def test_enumerate_t0_records_and_count(capsys):
     code, out = run(capsys, "enumerate-t0", "--ell", "1")
@@ -119,6 +135,9 @@ def test_enumerate_t0_count_only_csv(capsys):
     code, out = run(capsys, "enumerate-t0", "--ell", "2", "--count-only", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["ell,kind,value,what", "2,count,8,tetrahedra_t0"]
+    code, out = run(capsys, "enumerate-t0", "--ell", "15", "--count-only")
+    assert code == 0
+    assert records(out) == [{"kind": "count", "what": "tetrahedra_t0", "ell": 15, "value": 280}]
 
 
 def test_csv_rejects_non_count_records(capsys):
@@ -205,12 +224,15 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_thread_count_does_not_change_output(capsys, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "1")
-    _, single = run(capsys, "enumerate-t0", "--ell", "3")
-    monkeypatch.setenv(THREADS_ENV, "4")
-    _, multi = run(capsys, "enumerate-t0", "--ell", "3")
-    assert single == multi
+def test_output_is_identical_across_processes():
+    # Separate interpreters with different hash seeds must agree byte for byte.
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ztetra", "enumerate-t0", "--ell", "15"],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed}, capture_output=True, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_closed_output_pipe_is_quiet():
@@ -226,12 +248,3 @@ def test_closed_output_pipe_is_quiet():
     proc.stderr.close()
     assert code == 1
     assert b"Traceback" not in err
-
-
-def test_bad_thread_count_is_reported(capsys, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "0")
-    code, _ = run(capsys, "enumerate-t0", "--ell", "1")
-    assert code == 1
-    monkeypatch.setenv(THREADS_ENV, "soon")
-    code, _ = run(capsys, "enumerate-t0", "--ell", "1")
-    assert code == 1

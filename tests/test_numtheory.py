@@ -1,6 +1,8 @@
 """Integer arithmetic layer: factorization, quadratic form solvers."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ztetra import (
     DomainError,
@@ -12,6 +14,7 @@ from ztetra import (
     factorize,
     is_loeschian,
     is_prime,
+    iter_two_q,
     solve_three_d2,
     solve_two_q,
 )
@@ -163,6 +166,23 @@ def test_solve_two_q_known_values():
     assert all(p.q == 14 for p in solve_two_q(14))
     with pytest.raises(RangeError):
         solve_two_q(0)
+    with pytest.raises(RangeError):
+        iter_two_q(0)
+
+
+@given(st.integers(min_value=1, max_value=10**9))
+def test_iter_two_q_matches_solve_two_q(q):
+    # Reference: every (r, s), collected as a set and sorted by (|r|, r, s).
+    from math import isqrt
+
+    found = set()
+    for r in range(isqrt(2 * q // 3) + 1):
+        rest = 2 * q - 3 * r * r
+        s = isqrt(rest)
+        if s * s == rest:
+            found.update({(r, s), (r, -s), (-r, s), (-r, -s)})
+    want = [RSPair(r, s, q) for r, s in sorted(found, key=lambda p: (abs(p[0]), p[0], p[1]))]
+    assert list(iter_two_q(q)) == solve_two_q(q) == want
 
 
 def test_solve_two_q_closed_under_sign_flips():

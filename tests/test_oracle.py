@@ -70,10 +70,10 @@ def test_grid_guard():
         brute_triangles_grid(-1)
 
 
-def test_scan_workers_do_not_change_results():
+def test_scans_are_deterministic():
     pts = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
-    assert scan_triangles(pts, workers=1) == scan_triangles(pts, workers=3)
-    assert scan_tetrahedra(pts, workers=1) == scan_tetrahedra(pts, workers=3)
+    assert scan_triangles(pts) == scan_triangles(pts) == scan_triangles(reversed(pts))
+    assert scan_tetrahedra(pts) == scan_tetrahedra(pts) == scan_tetrahedra(reversed(pts))
 
 
 def test_brute_t0_unit():

@@ -1,5 +1,6 @@
 """Tetrahedron completion, enumeration, face normals and their identities."""
 
+from collections import Counter
 from itertools import permutations
 from math import isqrt
 
@@ -13,18 +14,22 @@ from ztetra import (
     NormalQuadruple,
     RangeError,
     VerificationError,
+    brute_t0,
     coeff_matrix,
     complete_tetrahedron,
     corollary_solution,
     enumerate_t0,
     face_normals,
     fourth_vertex,
+    omega,
+    signed_completions,
     solve_three_d2,
     triangle_points,
     verify_orthogonality,
     verify_regular,
     zeta,
 )
+from ztetra.tetra import _walk_t0
 from ztetra.triangle import ORIGIN, cross, dot, sub
 
 UNIT_QUAD = NormalQuadruple(1, 1, 1, 1)
@@ -108,8 +113,47 @@ def test_enumerate_t0_members_are_origin_tetrahedra():
             assert tet.vertices == tuple(sorted(tet.vertices))
 
 
-def test_enumerate_t0_worker_count_does_not_change_the_set():
-    assert enumerate_t0(3, workers=1) == enumerate_t0(3, workers=4)
+def test_enumerate_t0_is_deterministic():
+    assert enumerate_t0(15) == enumerate_t0(15)
+
+
+def test_one_pass_walk_emits_each_tetrahedron_once():
+    for ell in range(1, 61):
+        walk = list(_walk_t0(ell))
+        assert len(walk) == len(set(walk)), ell
+
+
+def test_canonical_faces_lose_no_tetrahedron():
+    # Reference: complete every triangle of every plane, no canonical
+    # face; each tetrahedron turns up once per face through the origin.
+    for ell in range(1, 31):
+        generated = Counter()
+        for d in range(1, ell + 1, 2):
+            if ell % d:
+                continue
+            for quad in solve_three_d2(d):
+                cm = coeff_matrix(quad)
+                for m, n in omega(ell // d):
+                    generated.update(complete_tetrahedron(quad, cm, m, n))
+        assert set(generated.values()) == {3}, ell
+        assert enumerate_t0(ell) == set(generated), ell
+
+
+def test_enumerate_t0_matches_brute_force():
+    for ell in range(1, 31):
+        assert enumerate_t0(ell) == brute_t0(ell), ell
+
+
+def test_signed_completions_agree_with_fourth_vertex():
+    for quad in solve_three_d2(3):
+        cm = coeff_matrix(quad)
+        for m, n in ((1, 0), (3, 0), (3, 8), (-5, 3)):
+            for sign, tet in signed_completions(cm, m, n):
+                apex = fourth_vertex(cm, m, n, sign)
+                assert apex in tet.vertices
+                assert tet.vertices == LatticeTetrahedron.from_vertices(
+                    (ORIGIN, cm.point_p(m, n), cm.point_q(m, n), apex)).vertices
+            assert [tet for _, tet in signed_completions(cm, m, n)] == complete_tetrahedron(quad, cm, m, n)
 
 
 def signed_permutations():

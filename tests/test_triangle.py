@@ -50,7 +50,7 @@ def test_coeff_matrix_frozen_entries_for_unit_quad():
 
 
 def test_coeff_matrix_picks_first_admissible_pair():
-    for d in range(1, 10, 2):
+    for d in range(1, 52, 2):
         for quad in solve_three_d2(d):
             cm = coeff_matrix(quad)
             candidates = [rs for rs in solve_two_q(quad.q) if admissible(quad, rs)]
