@@ -47,6 +47,7 @@ from .tetra import (
     LatticeTetrahedron,
     complete_tetrahedron,
     corollary_solution,
+    count_t0,
     enumerate_t0,
     face_normals,
     fourth_vertex,
@@ -96,6 +97,7 @@ __all__ = [
     "complete_tetrahedron",
     "corollary_solution",
     "count_representations",
+    "count_t0",
     "enumerate_t0",
     "face_normals",
     "factorize",

@@ -29,6 +29,7 @@ from .oracle import (
 from .tetra import (
     FaceNormalSet,
     LatticeTetrahedron,
+    count_t0,
     enumerate_t0,
     face_normals,
     signed_completions,
@@ -159,15 +160,20 @@ def cmd_complete(args, out: Emitter) -> int:
 
 
 def cmd_enumerate_t0(args, out: Emitter) -> int:
-    tets = enumerate_t0(args.ell)
-    if not args.count_only:
-        for tet in sorted(tets, key=lambda t: t.vertices):
+    if args.count_only:
+        value = count_t0(args.ell)
+    else:
+        tets = sorted(enumerate_t0(args.ell), key=lambda t: t.vertices)
+        for tet in tets:
             out.emit(_tetra_record(tet, {"ell": args.ell}))
-    out.emit({"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": len(tets)})
+        value = len(tets)
+    out.emit({"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": value})
     return 0
 
 
 def cmd_grid_count(args, out: Emitter) -> int:
+    if args.bfile is not None and args.format == "csv":
+        raise UsageError("--bfile emits diff records, which --format csv cannot carry")
     scan = brute_tetrahedra_grid if args.shape == "tetra" else brute_triangles_grid
     what = "grid_tetrahedra" if args.shape == "tetra" else "grid_triangles"
     value = len(scan(args.n))
@@ -222,6 +228,8 @@ def _verify_record(rec: dict) -> None:
         if not verify_orthogonality(FaceNormalSet(faces)):
             raise VerificationError("face normals fail the orthogonality identities")
     elif kind == "pair":
+        if rec["k"] < 1:
+            raise VerificationError(f"pair k must be positive, got {rec['k']}")
         if zeta(rec["m"], rec["n"]) != rec["k"] ** 2:
             raise VerificationError(f"zeta({rec['m']}, {rec['n']}) != {rec['k']}^2")
     elif kind == "triple":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import DomainError
-from .numtheory import check_range
+from .numtheory import check_range, factorize, zeta_pairs
 
 Pair = tuple[int, int]
 
@@ -26,26 +26,14 @@ def zeta(m: int, n: int) -> int:
 def omega(k: int) -> set[Pair]:
     """All integer pairs (m, n) with zeta(m, n) == k*k.
 
-    Scans every column |m| <= ceil(2k/sqrt(3)) + 1, the reach of the
-    form, solving the quadratic in n exactly.  When every prime divisor
-    of k is 2 mod 3 this is just the six axial pairs
-    (k, 0), (k, k), (0, k) and their negatives.
+    Read off the factorization of k: zeta(m, n) is the norm of the
+    Eisenstein integer m + n*omega, so the pairs are the elements of
+    norm k*k, whose factorization is that of k with doubled exponents.
+    When every prime divisor of k is 2 mod 3 this is just the six axial
+    pairs (k, 0), (k, k), (0, k) and their negatives.
     """
     check_range("k", k, 1)
-    bound = isqrt(4 * k * k // 3) + 2
-    kk = k * k
-    out: set[Pair] = set()
-    for m in range(-bound, bound + 1):
-        disc = 4 * kk - 3 * m * m
-        if disc < 0:
-            continue
-        root = isqrt(disc)
-        if root * root != disc:
-            continue
-        for num in (m + root, m - root):
-            if num % 2 == 0:
-                out.add((m, num // 2))
-    return out
+    return set(zeta_pairs((p, 2 * e) for p, e in factorize(k).factors))
 
 
 def tau_orbit(m: int, n: int) -> set[Pair]:

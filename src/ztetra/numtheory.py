@@ -2,20 +2,52 @@
 
 Everything works on plain Python integers with range checks at the
 boundary, so intermediate arithmetic is exact and cannot wrap.
-Factorization is trial division, which is adequate for the desk-scale
-inputs (up to roughly 10**12) this package targets.
+Factorization drives everything else: trial division by the primes
+below 1000, then deterministic Miller-Rabin and Pollard's rho with
+Brent's cycle detection for what remains, which factors every accepted
+input (up to 2**63 - 1) in well under a second.  The Diophantine
+solvers read their solutions off that factorization in the Gaussian
+and Eisenstein integers instead of scanning for them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import count, permutations
 from math import gcd, isqrt
 
 from .errors import DomainError, RangeError
 
 INT64_MAX = 2**63 - 1
+
+# Miller-Rabin to the first twelve prime bases is exact below this
+# bound, the smallest composite that passes all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+# t in theta*theta == t*theta - 1: the Gaussian integers Z[i] and the
+# Eisenstein integers Z[omega].
+_GAUSSIAN = 0
+_EISENSTEIN = -1
+# The elements of norm 1 of each ring.
+_UNITS = {
+    t: [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x * x + t * x * y + y * y == 1]
+    for t in (_GAUSSIAN, _EISENSTEIN)
+}
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_SMALL_PRIMES = _primes_below(1000)
 
 
 def check_range(name: str, value: int, low: int) -> None:
@@ -90,41 +122,120 @@ class NormalQuadruple:
 
 
 def factorize(t: int) -> Factorization:
-    """Trial-division factorization of t with 1 <= t <= 2**63 - 1.
+    """Prime factorization of t with 1 <= t <= 2**63 - 1.
+
+    Trial division by the primes below 1000 stops as soon as p*p
+    exceeds the unfactored rest, which is then 1 or a prime.  A rest
+    that outlasts the table has only prime factors above 1000 and is
+    split by Pollard's rho (Brent's variant), with Miller-Rabin deciding
+    primality.
 
     >>> factorize(5978882).factors
     ((2, 1), (7, 2), (13, 2), (19, 2))
+    >>> factorize(2**61 - 1).factors
+    ((2305843009213693951, 1),)
     """
     check_range("t", t, 1)
+    return Factorization(t, _prime_factors(t))
+
+
+def _prime_factors(t: int) -> tuple[tuple[int, int], ...]:
+    """The factors of factorize(t), for a t already known to be in range."""
     factors: list[tuple[int, int]] = []
     rest = t
-    p = 2
-    while p * p <= rest:
+    for p in _SMALL_PRIMES:
+        if p * p > rest:
+            if rest > 1:
+                factors.append((rest, 1))
+            return tuple(factors)
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             factors.append((p, e))
-        p += 1 if p == 2 else 2
     if rest > 1:
-        factors.append((rest, 1))
-    return Factorization(t, tuple(factors))
+        factors += _large_factors(rest)
+    return tuple(factors)
+
+
+def _large_factors(n: int) -> list[tuple[int, int]]:
+    """Sorted factorization of n > 1, whose prime factors all exceed 1000."""
+    exponents: dict[int, int] = {}
+    todo = [n]
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            f = _pollard_brent(m)
+            todo += (f, m // f)
+    return sorted(exponents.items())
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n by Pollard's rho with
+    Brent's cycle detection.
+
+    Iterates y -> y*y + c mod n and folds 128 differences at a time into
+    one gcd; a batch that overshoots to the gcd n is replayed step by
+    step, and a c whose cycle closes without a proper divisor is
+    replaced by c + 1.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin primality test to the bases 2, 3, ..., 37.
+
+    Exact for every n below 3317044064679887385961981 (about 3.3*10**24,
+    the smallest composite these bases pass), which covers every input
+    the package accepts; larger n raise RangeError.
+
+    >>> [n for n in (2**61 - 1, 3215031751, 341550071728321) if is_prime(n)]
+    [2305843009213693951]
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_EXACT_BELOW:
+        raise RangeError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -163,26 +274,113 @@ def count_representations(k: int) -> int:
     return 6 * total
 
 
+def _norm_elements(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int, int]]:
+    """Every (x, y) with x*x + t*x*y + y*y == N, given N's factorization.
+
+    (x, y) stands for x + y*theta with theta*theta == t*theta - 1: the
+    Gaussian integers (t = 0, theta = i, norm x^2 + y^2) or the
+    Eisenstein integers (t = -1, theta = omega, norm x^2 - xy + y^2).
+    Both rings have unique factorization and the norm is multiplicative,
+    so the solutions are the products of one element of norm p**e per
+    prime power, times a unit:
+
+    - the ramified prime 2 - t (2, resp. 3) gives (1 - theta)**e;
+    - a split prime (1 mod 4, resp. 1 mod 3) is pi * conj(pi) and gives
+      pi**i * conj(pi)**(e - i) for i = 0..e;
+    - an inert prime gives p**(e/2), and none at all if e is odd.
+
+    Distinct choices give distinct products, so the list has no repeats.
+    """
+    order = 4 + t  # theta is a primitive 4th, resp. cube, root of unity
+    elements = [(1, 0)]
+    for p, e in factors:
+        if p == 2 - t:
+            choices = _powers((1, -1), e, t)[e:]
+        elif p % order == 1:
+            up = _powers(_split_prime(p, t), e, t)
+            # pi**i * conj(pi)**(e - i), with conj(x + y*theta) == (x + t*y) - y*theta
+            choices = [_mul(up[i], (x + t * y, -y), t) for i, (x, y) in enumerate(reversed(up))]
+        elif e % 2:
+            return []
+        else:
+            choices = [(p ** (e // 2), 0)]
+        elements = [(a * c - b * d, a * d + b * c + t * b * d) for a, b in elements for c, d in choices]
+    return [(a * c - b * d, a * d + b * c + t * b * d) for a, b in _UNITS[t] for c, d in elements]
+
+
+def _mul(u: tuple[int, int], v: tuple[int, int], t: int) -> tuple[int, int]:
+    (a, b), (c, d) = u, v
+    return (a * c - b * d, a * d + b * c + t * b * d)
+
+
+def _powers(base: tuple[int, int], e: int, t: int) -> list[tuple[int, int]]:
+    out = [(1, 0)]
+    for _ in range(e):
+        out.append(_mul(out[-1], base, t))
+    return out
+
+
+def _split_prime(p: int, t: int) -> tuple[int, int]:
+    """An element of norm p for a prime p that splits in the ring of t.
+
+    theta becomes a root g of g*g - t*g + 1 modulo a prime above p: a
+    primitive 4th root of unity mod p for the Gaussian integers and a
+    cube root for the Eisenstein integers, found as h**((p - 1)/order).
+    Then 2g - t is a square root of -D mod p with D = 4 - t*t, and
+    Cornacchia's algorithm turns it into p == X*X + D*Y*Y, that is the
+    norm of (X - t*Y) + 2Y*theta.
+    """
+    order = 4 + t
+    for h in count(2):
+        g = pow(h, (p - 1) // order, p)
+        if (g * g - t * g + 1) % p == 0:
+            break
+    a, b = p, (2 * g - t) % p
+    while b * b > p:
+        a, b = b, a % b
+    y = isqrt((p - b * b) // (4 - t * t))
+    return (b - t * y, 2 * y)
+
+
+def zeta_pairs(factors: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every integer pair (m, n) with m*m - m*n + n*n == N, unordered.
+
+    factors is the factorization of N >= 1 as (prime, exponent) pairs;
+    m + n*omega runs over the Eisenstein integers of norm N.
+
+    >>> pairs = zeta_pairs(factorize(49).factors)
+    >>> len(pairs), (8, 3) in pairs, (5, -3) in pairs
+    (18, True, True)
+    """
+    return _norm_elements(factors, _EISENSTEIN)
+
+
 def iter_two_q(q: int) -> Iterator[RSPair]:
     """Lazily yield the integer pairs (r, s) with s*s + 3*r*r == 2*q.
 
     The order is (|r|, r, s), the order of solve_two_q, so a caller
-    that stops at the first pair it can use never builds the rest.
+    that stops at the first pair it can use builds no further RSPair.
+    s and r have the same parity, so 4 divides 2*q and odd q has no
+    solution; for even q, (r, s) = (n, 2m - n) maps the solutions of
+    zeta(m, n) == q/2 one to one onto them.
     """
     check_range("q", q, 1)
-    return _two_q_pairs(q)
+    return (RSPair(r, s, q) for r, s in _two_q_pairs(q))
 
 
-def _two_q_pairs(q: int) -> Iterator[RSPair]:
-    r = 0
-    while 3 * r * r <= 2 * q:
-        rest = 2 * q - 3 * r * r
-        s = isqrt(rest)
-        if s * s == rest:
-            for signed_r in ((-r, r) if r else (0,)):
-                for signed_s in ((-s, s) if s else (0,)):
-                    yield RSPair(signed_r, signed_s, q)
-        r += 1
+@lru_cache(maxsize=256)
+def _two_q_pairs(q: int) -> tuple[tuple[int, int], ...]:
+    """The (r, s) of iter_two_q(q) in order, as plain tuples.
+
+    Cached because coeff_matrix asks for the same q once per quadruple
+    sharing a*a + b*b: an enumeration of T0(ell) asks about twelve
+    times per distinct q, and the quadruples of one a come together, so
+    256 entries keep nearly every repeat.
+    """
+    if q % 2:
+        return ()
+    keyed = sorted((abs(n), n, 2 * m - n) for m, n in zeta_pairs(_prime_factors(q // 2)))
+    return tuple((r, s) for _, r, s in keyed)
 
 
 def solve_two_q(q: int) -> list[RSPair]:
@@ -197,26 +395,26 @@ def solve_two_q(q: int) -> list[RSPair]:
 def solve_three_d2(d: int) -> list[NormalQuadruple]:
     """All primitive quadruples (a, b, c, d) with a^2 + b^2 + c^2 == 3*d^2.
 
-    Enumerates base solutions 0 < a <= b <= c with gcd 1, then expands
+    Finds the base solutions 0 < a <= b <= c with gcd 1, then expands
     to every coordinate permutation and sign pattern whose first
     coordinate is positive.  Sorted lexicographically on (a, b, c).
-    d must be odd; the even case has no solutions worth inventing.
+    d must be odd (the even case has no solutions worth inventing) and
+    3*d*d must fit in 2**63 - 1.  Since 3*d*d == 3 mod 8, a primitive
+    solution has a, b and c all odd, so for each odd a <= d the pairs
+    (b, c) are the sums of two squares b*b + c*c == 3*d*d - a*a, read
+    off the factorization of that number in the Gaussian integers.
     """
     check_range("d", d, 1)
     if d % 2 == 0:
         raise DomainError(f"d must be odd, got {d}")
     target = 3 * d * d
+    if target > INT64_MAX:
+        raise RangeError(f"d must satisfy 3*d*d <= 2**63 - 1, got {d}")
     base: list[tuple[int, int, int]] = []
-    a = 1
-    while 3 * a * a <= target:
-        b = a
-        while a * a + 2 * b * b <= target:
-            c2 = target - a * a - b * b
-            c = isqrt(c2)
-            if c * c == c2 and c >= b and gcd(gcd(a, b), c) == 1:
+    for a in range(1, d + 1, 2):
+        for b, c in _norm_elements(_prime_factors(target - a * a), _GAUSSIAN):
+            if a <= b <= c and gcd(gcd(a, b), c) == 1:
                 base.append((a, b, c))
-            b += 1
-        a += 1
     seen: set[tuple[int, int, int]] = set()
     for trip in base:
         for perm in set(permutations(trip)):

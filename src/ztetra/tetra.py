@@ -161,6 +161,12 @@ def enumerate_t0(ell: int) -> set[LatticeTetrahedron]:
     return set(_walk_t0(ell))
 
 
+def count_t0(ell: int) -> int:
+    """len(enumerate_t0(ell)), counted off the walk without holding the set."""
+    check_range("ell", ell, 1)
+    return sum(1 for _ in _walk_t0(ell))
+
+
 def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
     """The one-pass walk behind enumerate_t0, one tetrahedron per canonical face."""
     for d in range(1, ell + 1, 2):

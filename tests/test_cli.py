@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ztetra import enumerate_t0
 from ztetra.cli import main
 
 
@@ -140,6 +141,14 @@ def test_enumerate_t0_count_only_csv(capsys):
     assert records(out) == [{"kind": "count", "what": "tetrahedra_t0", "ell": 15, "value": 280}]
 
 
+def test_enumerate_t0_count_only_counts_the_enumeration(capsys):
+    for ell in range(1, 61):
+        code, out = run(capsys, "enumerate-t0", "--ell", str(ell), "--count-only")
+        assert code == 0
+        assert records(out) == [{"kind": "count", "what": "tetrahedra_t0", "ell": ell,
+                                 "value": len(enumerate_t0(ell))}], ell
+
+
 def test_csv_rejects_non_count_records(capsys):
     code, _ = run(capsys, "enumerate-t0", "--ell", "1", "--format", "csv")
     assert code == 2
@@ -166,6 +175,15 @@ def test_grid_count_with_bfile(capsys, tmp_path):
     diffs = {r["offset"]: r for r in recs[1:]}
     assert diffs[0]["matched"] is True
     assert diffs[1]["matched"] is False
+
+
+def test_grid_count_rejects_csv_with_bfile_before_scanning(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("0 0\n1 2\n2 18\n")
+    code, out = run(capsys, "grid-count", "--n", "2", "--shape", "tetra",
+                    "--bfile", str(path), "--format", "csv")
+    assert code == 2
+    assert out == ""
 
 
 def test_oracle_compare_clean(capsys):
@@ -216,6 +234,20 @@ def test_verify_rejects_unknown_kind_and_bad_json(capsys, tmp_path):
     path.write_text("not json\n")
     assert run(capsys, "verify", "--file", str(path))[0] == 1
     assert run(capsys, "verify", "--file", str(tmp_path / "absent.jsonl"))[0] == 1
+
+
+def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    good = '{"kind":"pair","m":8,"n":3,"k":7}'
+    for bad in ('{"kind":"pair","m":0,"n":0,"k":0}', '{"kind":"pair","m":8,"n":3,"k":-7}',
+                '{"kind":"pair","m":0,"n":0,"k":1}'):
+        path.write_text(good + "\n" + bad + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2:" in captured.err, bad
+    path.write_text(good + "\n")
+    assert run(capsys, "verify", "--file", str(path))[0] == 0
 
 
 def test_output_is_deterministic(capsys):

@@ -1,6 +1,6 @@
 """The form zeta(m, n) = m*m - m*n + n*n, its level sets and symmetries."""
 
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -25,6 +25,22 @@ def brute_omega(k):
     }
 
 
+def referee_omega(k):
+    """The O(k) column scan: solve the quadratic in n for every |m| within reach."""
+    bound = isqrt(4 * k * k // 3) + 2
+    out = set()
+    for m in range(-bound, bound + 1):
+        disc = 4 * k * k - 3 * m * m
+        if disc < 0:
+            continue
+        root = isqrt(disc)
+        if root * root == disc:
+            for num in (m + root, m - root):
+                if num % 2 == 0:
+                    out.add((m, num // 2))
+    return out
+
+
 def test_zeta_values():
     assert zeta(0, 0) == 0
     assert zeta(1, 0) == 1
@@ -44,6 +60,11 @@ def test_zeta_nonnegative():
 def test_omega_matches_brute_force():
     for k in range(1, 26):
         assert omega(k) == brute_omega(k), k
+
+
+def test_omega_matches_column_scan():
+    for k in range(1, 2001):
+        assert omega(k) == referee_omega(k), k
 
 
 def test_omega_sizes_match_representation_counts():

@@ -1,7 +1,15 @@
-"""Integer arithmetic layer: factorization, quadratic form solvers."""
+"""Integer arithmetic layer: factorization, quadratic form solvers.
+
+The referee_* functions are the scans the factorization-driven code
+replaced; the fast paths must agree with them exactly, order included.
+"""
+
+import time
+from itertools import permutations
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztetra import (
@@ -19,6 +27,83 @@ from ztetra import (
     solve_two_q,
 )
 from ztetra.numtheory import INT64_MAX, check_range
+
+# Composites that pass Miller-Rabin to every prime base up to 7, 11,
+# 13, 19 and 31 respectively: a shorter base set than 2..37 would call
+# some of them prime.
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051)
+
+
+def referee_factorize(t):
+    """Trial division by 2 and every odd number up to sqrt(rest)."""
+    factors = []
+    rest = t
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        factors.append((rest, 1))
+    return tuple(factors)
+
+
+def referee_is_prime(n):
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def referee_two_q(q):
+    """(r, s) with s*s + 3*r*r == 2*q by an O(sqrt q) scan over r >= 0, in (|r|, r, s) order."""
+    out = []
+    r = 0
+    while 3 * r * r <= 2 * q:
+        rest = 2 * q - 3 * r * r
+        s = isqrt(rest)
+        if s * s == rest:
+            for signed_r in ((-r, r) if r else (0,)):
+                for signed_s in ((-s, s) if s else (0,)):
+                    out.append((signed_r, signed_s))
+        r += 1
+    return out
+
+
+def referee_three_d2(d):
+    """Primitive sign-canonical (a, b, c) with a^2 + b^2 + c^2 == 3*d^2 by an O(d^2) scan."""
+    target = 3 * d * d
+    base = []
+    a = 1
+    while 3 * a * a <= target:
+        b = a
+        while a * a + 2 * b * b <= target:
+            c2 = target - a * a - b * b
+            c = isqrt(c2)
+            if c * c == c2 and c >= b and gcd(gcd(a, b), c) == 1:
+                base.append((a, b, c))
+            b += 1
+        a += 1
+    seen = set()
+    for trip in base:
+        for perm in set(permutations(trip)):
+            for sb in (1, -1):
+                for sc in (1, -1):
+                    seen.add((perm[0], sb * perm[1], sc * perm[2]))
+    return sorted(seen)
 
 
 def brute_zeta_values(limit):
@@ -80,6 +165,49 @@ def test_factorize_rejects_out_of_range():
         factorize(0)
     with pytest.raises(RangeError):
         factorize(-6)
+
+
+def test_factorize_and_is_prime_match_trial_division():
+    for n in range(1, 10**5 + 1):
+        assert factorize(n).factors == referee_factorize(n), n
+        assert is_prime(n) == referee_is_prime(n), n
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.integers(min_value=1, max_value=INT64_MAX),
+    st.builds(lambda a, b: a * b, st.integers(2, 3037000499), st.integers(2, 3037000499)),
+))
+def test_factorize_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert dict(factorize(n).factors) == sympy.factorint(n)
+
+
+def test_strong_pseudoprimes_are_composite():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n), n
+        factors = factorize(n).factors
+        assert len(factors) > 1 or factors[0][1] > 1, n
+        prod = 1
+        for p, e in factors:
+            assert is_prime(p)
+            prod *= p**e
+        assert prod == n
+
+
+def test_factorize_is_fast_on_large_primes_and_semiprimes():
+    for n, want in ((2**61 - 1, ((2**61 - 1, 1),)),
+                    (3037000453 * 3037000493, ((3037000453, 1), (3037000493, 1)))):
+        start = time.perf_counter()
+        assert factorize(n).factors == want
+        assert time.perf_counter() - start < 1.0, n
+
+
+def test_is_prime_rejects_values_beyond_its_exact_range():
+    # The largest prime below the bound, then the composite that sets it.
+    assert is_prime(3317044064679887385961813)
+    with pytest.raises(RangeError):
+        is_prime(3317044064679887385961981)
 
 
 def test_is_prime_small():
@@ -185,6 +313,11 @@ def test_iter_two_q_matches_solve_two_q(q):
     assert list(iter_two_q(q)) == solve_two_q(q) == want
 
 
+def test_iter_two_q_matches_scan():
+    for q in range(1, 2 * 10**4 + 1):
+        assert [(p.r, p.s) for p in iter_two_q(q)] == referee_two_q(q), q
+
+
 def test_solve_two_q_closed_under_sign_flips():
     for q in (2, 14, 26, 38, 50, 122):
         pairs = {(p.r, p.s) for p in solve_two_q(q)}
@@ -233,6 +366,11 @@ def test_solve_three_d2_matches_brute_force():
         assert got == want, d
 
 
+def test_solve_three_d2_matches_scan():
+    for d in range(1, 302, 2):
+        assert [u.normal for u in solve_three_d2(d)] == referee_three_d2(d), d
+
+
 def test_solve_three_d2_output_contract():
     for d in (1, 3, 5, 133):
         quads = solve_three_d2(d)
@@ -252,3 +390,6 @@ def test_solve_three_d2_rejects_bad_d():
         solve_three_d2(0)
     with pytest.raises(RangeError):
         solve_three_d2(-3)
+    # The first odd d with 3*d*d > 2**63 - 1.
+    with pytest.raises(RangeError):
+        solve_three_d2(1753413057)
