@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .eisenstein import EisensteinTriple, omega, primitive_triples, zeta
@@ -174,14 +175,15 @@ def cmd_enumerate_t0(args, out: Emitter) -> int:
 def cmd_grid_count(args, out: Emitter) -> int:
     if args.bfile is not None and args.format == "csv":
         raise UsageError("--bfile emits diff records, which --format csv cannot carry")
+    terms = None if args.bfile is None else read_bfile(args.bfile)
     scan = brute_tetrahedra_grid if args.shape == "tetra" else brute_triangles_grid
     what = "grid_tetrahedra" if args.shape == "tetra" else "grid_triangles"
     value = len(scan(args.n))
     out.emit({"kind": "count", "what": what, "n": args.n, "shape": args.shape, "value": value})
-    if args.bfile is None:
+    if terms is None:
         return 0
     counts = {n: (value if n == args.n else len(scan(n))) for n in range(args.n + 1)}
-    for report in compare_with_bfile(counts, read_bfile(args.bfile)):
+    for report in compare_with_bfile(counts, terms):
         out.emit({
             "kind": "diff",
             "what": "bfile",
@@ -206,8 +208,37 @@ def cmd_oracle_compare(args, out: Emitter) -> int:
     return 0 if report.is_empty() else 1
 
 
+# Numeric fields of each re-verified record kind, with their list shapes:
+# () is one integer, (3,) a list of three, (4, 3) four lists of three.
+_INT_FIELDS = {
+    "tetrahedron": {"vertices": (4, 3), "side_sq": (), "ell": ()},
+    "triangle": {"p": (3,), "q": (3,), "side_sq": ()},
+    "quadruple": {"a": (), "b": (), "c": (), "d": (), "q": ()},
+    "normal-set": {"faces": (4, 4)},
+    "pair": {"m": (), "n": (), "k": ()},
+    "triple": {"m": (), "n": (), "k": (), "u": (), "v": (), "form": ()},
+}
+
+
+def _check_ints(name: str, value, shape: tuple[int, ...]) -> None:
+    """Require value to be a JSON integer (not a float or a boolean), or
+    nested lists of them with the given lengths; raises TypeError."""
+    items = [value]
+    for size in shape:
+        for item in items:
+            if type(item) is not list or len(item) != size:
+                raise TypeError(f"{name} must be nested lists of shape {shape}, got {value!r}")
+        items = [x for item in items for x in item]
+    for item in items:
+        if type(item) is not int:
+            raise TypeError(f"{name} must hold only integers, got {value!r}")
+
+
 def _verify_record(rec: dict) -> None:
     kind = rec.get("kind")
+    for name, shape in _INT_FIELDS.get(kind, {}).items():
+        if name in rec:
+            _check_ints(name, rec[name], shape)
     if kind == "tetrahedron":
         verts = [tuple(v) for v in rec["vertices"]]
         side_sq = verify_regular(*verts)
@@ -239,24 +270,30 @@ def _verify_record(rec: dict) -> None:
 
 
 def cmd_verify(args, out: Emitter) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        raise DomainError(f"no such file: {path}")
-    checked = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    if args.file == "-":
+        path, lines = Path("<stdin>"), nullcontext(sys.stdin)
+    else:
+        path = Path(args.file)
         try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise DomainError("record is not an object")
-            _verify_record(rec)
-        except ZtetraError as exc:
-            raise VerificationError(f"{path}:{lineno}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"{path}:{lineno}: malformed record ({exc})") from exc
-        checked += 1
+            lines = path.open()
+        except FileNotFoundError:
+            raise DomainError(f"no such file: {path}") from None
+    checked = 0
+    with lines as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise DomainError("record is not an object")
+                _verify_record(rec)
+            except ZtetraError as exc:
+                raise VerificationError(f"{path}:{lineno}: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DomainError(f"{path}:{lineno}: malformed record ({exc})") from exc
+            checked += 1
     out.emit({"kind": "count", "what": "verified_records", "value": checked})
     return 0
 
@@ -283,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("triples", parents=[common],
-                       help="primitive positive (m, n, k) with m^2 - mn + n^2 = k^2, k <= kmax")
+                       help="primitive positive (m, n, k) with m^2 - mn + n^2 = k^2, k <= kmax <= 10^6")
     p.add_argument("--kmax", type=checked_int, required=True)
     p.set_defaults(func=cmd_triples)
 
@@ -323,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="re-verify a file of emitted records")
-    p.add_argument("--file", required=True)
+    p.add_argument("--file", required=True, help="JSONL file to read, or - for stdin")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .numtheory import check_range, factorize, zeta_pairs
 
 Pair = tuple[int, int]
+
+TRIPLES_KMAX = 10**6
 
 
 def zeta(m: int, n: int) -> int:
@@ -85,9 +87,12 @@ def primitive_triples(kmax: int) -> list[EisensteinTriple]:
     Generated from coprime (u, v) with u + v not divisible by 3: form 1
     applies when v > u, form 2 when v/2 < u < 2v.  Completeness at desk
     scale is pinned against a brute-force scan in the test suite.
-    Sorted by (k, m, n).
+    Sorted by (k, m, n).  The scan takes time and memory linear in
+    kmax, so kmax above TRIPLES_KMAX = 10**6 raises RangeError.
     """
     check_range("kmax", kmax, 1)
+    if kmax > TRIPLES_KMAX:
+        raise RangeError(f"kmax must be at most {TRIPLES_KMAX}, got {kmax}")
     found: dict[Pair, EisensteinTriple] = {}
     bound = isqrt(4 * kmax // 3) + 2
     for u in range(1, bound + 1):

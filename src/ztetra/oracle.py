@@ -200,10 +200,15 @@ def read_bfile(path) -> list[tuple[int, int]]:
     """Parse an OEIS b-file: one 'index value' pair per line.
 
     Blank lines and '#' comments are ignored; anything else malformed
-    raises DomainError with the offending line number.
+    raises DomainError with the offending line number, and so does a
+    missing file.
     """
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise DomainError(f"no such file: {path}") from None
     terms: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .eisenstein import omega, zeta
@@ -211,26 +210,31 @@ def face_normals(tet: LatticeTetrahedron) -> FaceNormalSet:
 def verify_orthogonality(fns: FaceNormalSet) -> bool:
     """Exact check of the orthogonality identities of four face normals.
 
-    Requires a_i*a_j + b_i*b_j + c_i*c_j + d_i*d_j == 0 for all i < j,
-    and the 4x4 matrix with rows (a_i, b_i, c_i, d_i) / (2*d_i) to be
-    orthogonal from both sides.  All arithmetic is exact rational.
+    With v_i = (a_i, b_i, c_i, d_i), the 4x4 matrix M with rows
+    v_i / (2*d_i) must be orthogonal from both sides.  The denominators
+    are multiplied out, so every test is an integer equality:
+    rows, v_i . v_j == 4*d_i*d_j if i == j else 0 (off the diagonal this
+    is the pairwise identity a_i*a_j + b_i*b_j + c_i*c_j + d_i*d_j == 0);
+    columns, with P the product of the d_t^2,
+    sum_t v_t[i]*v_t[j]*(P / d_t^2) == 4*P if i == j else 0.
     """
-    quads = fns.faces
-    for i in range(4):
-        for j in range(i + 1, 4):
-            qi, qj = quads[i], quads[j]
-            if qi.a * qj.a + qi.b * qj.b + qi.c * qj.c + qi.d * qj.d != 0:
+    rows = [(f.a, f.b, f.c, f.d) for f in fns.faces]
+    for i, vi in enumerate(rows):
+        for j in range(i, 4):
+            vj = rows[j]
+            want = 4 * vi[3] * vj[3] if i == j else 0
+            if vi[0] * vj[0] + vi[1] * vj[1] + vi[2] * vj[2] + vi[3] * vj[3] != want:
                 return False
-    rows = [
-        [Fraction(f.a, 2 * f.d), Fraction(f.b, 2 * f.d), Fraction(f.c, 2 * f.d), Fraction(1, 2)]
-        for f in quads
-    ]
-    for i in range(4):
-        for j in range(4):
-            want = Fraction(int(i == j))
-            row_dot = sum(rows[i][t] * rows[j][t] for t in range(4))
-            col_dot = sum(rows[t][i] * rows[t][j] for t in range(4))
-            if row_dot != want or col_dot != want:
+    squares = [v[3] * v[3] for v in rows]
+    prod = squares[0] * squares[1] * squares[2] * squares[3]
+    w = [prod // s for s in squares]
+    cols = list(zip(*rows))
+    for i, ci in enumerate(cols):
+        for j in range(i, 4):
+            cj = cols[j]
+            want = 4 * prod if i == j else 0
+            if (w[0] * ci[0] * cj[0] + w[1] * ci[1] * cj[1]
+                    + w[2] * ci[2] * cj[2] + w[3] * ci[3] * cj[3]) != want:
                 return False
     return True
 

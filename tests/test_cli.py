@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: records, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ import sys
 
 import pytest
 
-from ztetra import enumerate_t0
-from ztetra.cli import main
+from ztetra import DomainError, enumerate_t0
+from ztetra.cli import Emitter, cmd_verify, main
 
 
 def run(capsys, *argv):
@@ -186,6 +187,23 @@ def test_grid_count_rejects_csv_with_bfile_before_scanning(capsys, tmp_path):
     assert out == ""
 
 
+def test_grid_count_rejects_a_missing_bfile_before_scanning(capsys, tmp_path):
+    path = tmp_path / "absent.txt"
+    code = main(["grid-count", "--n", "2", "--shape", "tetra", "--bfile", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: no such file: {path}\n"
+
+
+def test_triples_rejects_kmax_above_the_bound(capsys):
+    code = main(["triples", "--kmax", str(10**6 + 1)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "kmax must be at most 1000000" in captured.err
+
+
 def test_oracle_compare_clean(capsys):
     code, out = run(capsys, "oracle-compare", "--ell", "2")
     assert code == 0
@@ -248,6 +266,60 @@ def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
         assert f"{path}:2:" in captured.err, bad
     path.write_text(good + "\n")
     assert run(capsys, "verify", "--file", str(path))[0] == 0
+
+
+def test_verify_rejects_non_integer_fields(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    good = '{"kind":"pair","m":8,"n":3,"k":7}'
+    normals = "[-1,-1,1,1],[-1,1,-1,1],[1,-1,-1,1]]"
+    for bad in ('{"kind":"normal-set","faces":[[1.0,1,1,1],' + normals + "}",
+                '{"kind":"normal-set","faces":[[true,1,1,1],' + normals + "}",
+                '{"kind":"tetrahedron","vertices":[[0.0,0,0],[1.0,1,0],[1,0,1],[0,1,1]],'
+                '"side_sq":2.0,"ell":1}',
+                '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":true}',
+                '{"kind":"quadruple","a":1,"b":1,"c":1,"d":1,"q":2.0}',
+                '{"kind":"pair","m":8,"n":3,"k":7.0}',
+                '{"kind":"triple","m":8,"n":3,"k":7,"u":1,"v":3,"form":1.0}',
+                '{"kind":"tetrahedron","vertices":[[0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2}'):
+        path.write_text(good + "\n" + bad + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2:" in captured.err, bad
+        with pytest.raises(DomainError, match="malformed record"):
+            cmd_verify(argparse.Namespace(file=str(path)), Emitter("jsonl"))
+    # The same records with integer fields verify, and so do pairs with m = 0.
+    path.write_text(good + "\n"
+                    + '{"kind":"normal-set","faces":[[1,1,1,1],' + normals + "}\n"
+                    + '{"kind":"tetrahedron","vertices":[[0,0,0],[1,1,0],[1,0,1],[0,1,1]],'
+                    '"side_sq":2,"ell":1}\n'
+                    + '{"kind":"pair","m":0,"n":7,"k":7}\n')
+    code, out = run(capsys, "verify", "--file", str(path))
+    assert code == 0
+    assert records(out) == [{"kind": "count", "what": "verified_records", "value": 4}]
+
+
+def test_verify_reads_stdin():
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    producer = subprocess.Popen([sys.executable, "-m", "ztetra", "enumerate-t0", "--ell", "15"],
+                                stdout=subprocess.PIPE, env=env)
+    verifier = subprocess.run([sys.executable, "-m", "ztetra", "verify", "--file", "-"],
+                              stdin=producer.stdout, capture_output=True, env=env)
+    producer.stdout.close()
+    assert producer.wait() == 0
+    assert verifier.returncode == 0, verifier.stderr
+    count = len(enumerate_t0(15))
+    assert json.loads(verifier.stdout) == {"kind": "count", "what": "verified_records",
+                                           "value": count + 1}
+
+
+def test_import_does_not_load_fractions():
+    # fractions (and the decimal module it pulls in) would add to the
+    # start-up time of every command.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ztetra, ztetra.cli, sys; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_output_is_deterministic(capsys):

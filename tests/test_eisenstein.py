@@ -4,9 +4,11 @@ from math import gcd, isqrt
 
 import pytest
 
+import ztetra.eisenstein
 from ztetra import (
     DomainError,
     EisensteinTriple,
+    RangeError,
     count_representations,
     omega,
     primitive_triples,
@@ -159,3 +161,21 @@ def test_primitive_triples_sorted_and_unique():
     keys = [(t.k, t.m, t.n) for t in triples]
     assert keys == sorted(keys)
     assert len({(t.m, t.n) for t in triples}) == len(triples)
+
+
+def test_primitive_triples_bounds_kmax(monkeypatch):
+    for kmax in (10**6 + 1, 2**63 - 1):
+        with pytest.raises(RangeError, match="at most 1000000"):
+            primitive_triples(kmax)
+
+    class ScanStarted(Exception):
+        pass
+
+    def stop(*args):
+        raise ScanStarted
+
+    # kmax = 10**6 passes the bound; stop at the first step of the scan
+    # instead of running it.
+    monkeypatch.setattr(ztetra.eisenstein, "gcd", stop)
+    with pytest.raises(ScanStarted):
+        primitive_triples(10**6)

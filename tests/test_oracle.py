@@ -115,6 +115,8 @@ def test_read_bfile_rejects_malformed_lines(tmp_path):
     path.write_text("0 zero\n")
     with pytest.raises(DomainError):
         read_bfile(path)
+    with pytest.raises(DomainError, match="no such file"):
+        read_bfile(tmp_path / "absent.txt")
 
 
 def test_compare_with_bfile_offset_zero():

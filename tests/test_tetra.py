@@ -1,10 +1,13 @@
 """Tetrahedron completion, enumeration, face normals and their identities."""
 
-from collections import Counter
-from itertools import permutations
+from collections import Counter, namedtuple
+from fractions import Fraction
+from itertools import combinations, permutations
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztetra import (
     ConstructionError,
@@ -229,6 +232,120 @@ def test_verify_orthogonality_detects_a_flipped_normal():
     bad = faces[0]
     faces[0] = NormalQuadruple(-bad.a, -bad.b, -bad.c, bad.d)
     assert not verify_orthogonality(FaceNormalSet(tuple(faces)))
+
+
+def referee_orthogonality(fns):
+    """The exact rational check: pairwise identities, then the 4x4 matrix
+    with rows (a_i, b_i, c_i, d_i) / (2*d_i) orthogonal from both sides."""
+    quads = fns.faces
+    for i in range(4):
+        for j in range(i + 1, 4):
+            qi, qj = quads[i], quads[j]
+            if qi.a * qj.a + qi.b * qj.b + qi.c * qj.c + qi.d * qj.d != 0:
+                return False
+    rows = [
+        [Fraction(f.a, 2 * f.d), Fraction(f.b, 2 * f.d), Fraction(f.c, 2 * f.d), Fraction(1, 2)]
+        for f in quads
+    ]
+    for i in range(4):
+        for j in range(4):
+            want = Fraction(int(i == j))
+            row_dot = sum(rows[i][t] * rows[j][t] for t in range(4))
+            col_dot = sum(rows[t][i] * rows[t][j] for t in range(4))
+            if row_dot != want or col_dot != want:
+                return False
+    return True
+
+
+# A face without NormalQuadruple's a^2 + b^2 + c^2 == 3*d^2 check, so
+# mutations that break that equation still reach both checks.
+RawFace = namedtuple("RawFace", "a b c d")
+
+
+def mutations(faces):
+    """Sign flips of one normal, swaps of two faces' d values, and every
+    single-entry +-1 change (d kept >= 1), each as four RawFaces."""
+    rows = [[f.a, f.b, f.c, f.d] for f in faces]
+    for i in range(4):
+        flipped = [r[:] for r in rows]
+        flipped[i][:3] = [-x for x in rows[i][:3]]
+        yield flipped
+    for i, j in combinations(range(4), 2):
+        swapped = [r[:] for r in rows]
+        swapped[i][3], swapped[j][3] = rows[j][3], rows[i][3]
+        yield swapped
+    for i in range(4):
+        for t in range(4):
+            for delta in (1, -1):
+                if t == 3 and rows[i][3] + delta < 1:
+                    continue
+                changed = [r[:] for r in rows]
+                changed[i][t] += delta
+                yield changed
+
+
+def assert_mutants_agree_with_referee(faces):
+    """faces form an orthogonal set; each mutant must get the referee's
+    verdict, which is True only when the mutant equals faces (a swap of
+    two equal d values)."""
+    fns = FaceNormalSet(tuple(faces))
+    assert verify_orthogonality(fns) and referee_orthogonality(fns)
+    original = [[f.a, f.b, f.c, f.d] for f in faces]
+    for mutant in mutations(faces):
+        fns = FaceNormalSet(tuple(RawFace(*r) for r in mutant))
+        got = verify_orthogonality(fns)
+        assert got == referee_orthogonality(fns), mutant
+        assert got == (mutant == original), mutant
+
+
+def test_verify_orthogonality_matches_referee_on_t0_sets():
+    # A +-1 change flips the parity of a^2 + b^2 + c^2 or makes d even,
+    # so NormalQuadruple would reject every one of them; RawFace lets
+    # both checks see them.
+    for ell in range(1, 16):
+        for tet in enumerate_t0(ell):
+            assert_mutants_agree_with_referee(face_normals(tet).faces)
+
+
+def test_verify_orthogonality_checks_norms_beyond_the_pairwise_identities():
+    # The rows of left multiplication by a quaternion are pairwise
+    # orthogonal with squared length |q|^2; they pass the norm identity
+    # a^2 + b^2 + c^2 + d^2 == 4*d^2 only for q = (1, 1, 1, 1).
+    for q, want in (((1, 1, 1, 1), True), ((1, 1, 1, 2), False), ((1, 2, 3, 5), False)):
+        p0, p1, p2, p3 = q
+        rows = ((p0, -p1, -p2, -p3), (p1, p0, -p3, p2), (p2, p3, p0, -p1), (p3, -p2, p1, p0))
+        fns = FaceNormalSet(tuple(RawFace(*r) for r in rows))
+        assert verify_orthogonality(fns) is want
+        assert referee_orthogonality(fns) is want
+
+
+CUBE_NORMALS = ((1, 1, 1, 1), (-1, -1, 1, 1), (-1, 1, -1, 1), (1, -1, -1, 1))
+SMALL_T0_SETS = [CUBE_NORMALS] + [
+    tuple((f.a, f.b, f.c, f.d) for f in face_normals(tet).faces)
+    for ell in (3, 5, 7) for tet in sorted(enumerate_t0(ell))[:8]
+]
+
+
+def quaternion_rotate(w, x, y, z, faces):
+    """faces under x -> R x, R = N * (the rotation of the quaternion),
+    N = w^2 + x^2 + y^2 + z^2, with every d scaled by N."""
+    norm = w * w + x * x + y * y + z * z
+    rot = (
+        (w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z),
+    )
+    return [NormalQuadruple(*(sum(r[t] * f[t] for t in range(3)) for r in rot), norm * f[3])
+            for f in faces]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(SMALL_T0_SETS),
+    st.tuples(*[st.integers(-30, 30)] * 4).filter(lambda q: sum(v * v for v in q) % 2),
+)
+def test_verify_orthogonality_matches_referee_on_rotated_sets(faces, quaternion):
+    assert_mutants_agree_with_referee(quaternion_rotate(*quaternion, faces))
 
 
 def test_corollary_solution_produces_nontrivial_pairs():
