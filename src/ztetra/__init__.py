@@ -25,13 +25,11 @@ from .numtheory import (
     factorize,
     is_loeschian,
     is_prime,
-    iter_two_q,
     solve_three_d2,
     solve_two_q,
 )
 from .oracle import (
     ComparisonReport,
-    GridCountRecord,
     OffsetReport,
     brute_t0,
     brute_tetrahedra_grid,
@@ -50,7 +48,6 @@ from .tetra import (
     count_t0,
     enumerate_t0,
     face_normals,
-    fourth_vertex,
     signed_completions,
     verify_orthogonality,
     verify_regular,
@@ -75,7 +72,6 @@ __all__ = [
     "EisensteinTriple",
     "Factorization",
     "FaceNormalSet",
-    "GridCountRecord",
     "INT64_MAX",
     "LatticeTetrahedron",
     "LatticeTriangle",
@@ -101,10 +97,8 @@ __all__ = [
     "enumerate_t0",
     "face_normals",
     "factorize",
-    "fourth_vertex",
     "is_loeschian",
     "is_prime",
-    "iter_two_q",
     "omega",
     "primitive_triples",
     "read_bfile",

@@ -208,7 +208,7 @@ def cmd_oracle_compare(args, out: Emitter) -> int:
     return 0 if report.is_empty() else 1
 
 
-# Numeric fields of each re-verified record kind, with their list shapes:
+# Numeric fields of each record kind verify accepts, with their list shapes:
 # () is one integer, (3,) a list of three, (4, 3) four lists of three.
 _INT_FIELDS = {
     "tetrahedron": {"vertices": (4, 3), "side_sq": (), "ell": ()},
@@ -217,6 +217,8 @@ _INT_FIELDS = {
     "normal-set": {"faces": (4, 4)},
     "pair": {"m": (), "n": (), "k": ()},
     "triple": {"m": (), "n": (), "k": (), "u": (), "v": (), "form": ()},
+    "count": {"value": (), "ell": (), "n": ()},
+    "diff": {"ell": (), "offset": ()},
 }
 
 
@@ -265,26 +267,31 @@ def _verify_record(rec: dict) -> None:
             raise VerificationError(f"zeta({rec['m']}, {rec['n']}) != {rec['k']}^2")
     elif kind == "triple":
         EisensteinTriple(rec["m"], rec["n"], rec["k"])
-    elif kind not in ("count", "diff"):
+    elif kind == "diff":
+        if type(rec.get("matched", False)) is not bool:
+            raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
+    elif kind != "count":
         raise DomainError(f"unknown record kind: {kind!r}")
 
 
 def cmd_verify(args, out: Emitter) -> int:
     if args.file == "-":
-        path, lines = Path("<stdin>"), nullcontext(sys.stdin)
+        path, lines = Path("<stdin>"), nullcontext(sys.stdin.buffer)
     else:
         path = Path(args.file)
         try:
-            lines = path.open()
+            lines = path.open("rb")
         except FileNotFoundError:
             raise DomainError(f"no such file: {path}") from None
+        except OSError as exc:
+            raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     checked = 0
     with lines as stream:
         for lineno, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise DomainError("record is not an object")
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve3d2", parents=[common],
-                       help="primitive quadruples a^2+b^2+c^2 = 3d^2 for one odd d")
+                       help="primitive quadruples a^2+b^2+c^2 = 3d^2 for one odd d <= 10^5")
     p.add_argument("--d", type=checked_int, required=True)
     p.set_defaults(func=cmd_solve3d2)
 
@@ -341,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("enumerate-t0", parents=[common],
-                       help="all origin tetrahedra with squared side 2*ell^2")
+                       help="all origin tetrahedra with squared side 2*ell^2 "
+                       "(the odd part of ell at most 10^5)")
     p.add_argument("--ell", type=checked_int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate_t0)

@@ -7,12 +7,14 @@ below 1000, then deterministic Miller-Rabin and Pollard's rho with
 Brent's cycle detection for what remains, which factors every accepted
 input (up to 2**63 - 1) in well under a second.  The Diophantine
 solvers read their solutions off that factorization in the Gaussian
-and Eisenstein integers instead of scanning for them.
+and Eisenstein integers instead of scanning for them: solve_two_q is
+the one (r, s) solver, cached per q, and solve_three_d2 factors one
+number per odd a <= d, so d is capped at THREE_D2_DMAX.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, permutations
@@ -21,6 +23,8 @@ from math import gcd, isqrt
 from .errors import DomainError, RangeError
 
 INT64_MAX = 2**63 - 1
+
+THREE_D2_DMAX = 10**5
 
 # Miller-Rabin to the first twelve prime bases is exact below this
 # bound, the smallest composite that passes all of them.
@@ -355,41 +359,33 @@ def zeta_pairs(factors: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return _norm_elements(factors, _EISENSTEIN)
 
 
-def iter_two_q(q: int) -> Iterator[RSPair]:
-    """Lazily yield the integer pairs (r, s) with s*s + 3*r*r == 2*q.
-
-    The order is (|r|, r, s), the order of solve_two_q, so a caller
-    that stops at the first pair it can use builds no further RSPair.
-    s and r have the same parity, so 4 divides 2*q and odd q has no
-    solution; for even q, (r, s) = (n, 2m - n) maps the solutions of
-    zeta(m, n) == q/2 one to one onto them.
-    """
-    check_range("q", q, 1)
-    return (RSPair(r, s, q) for r, s in _two_q_pairs(q))
-
-
-@lru_cache(maxsize=256)
-def _two_q_pairs(q: int) -> tuple[tuple[int, int], ...]:
-    """The (r, s) of iter_two_q(q) in order, as plain tuples.
-
-    Cached because coeff_matrix asks for the same q once per quadruple
-    sharing a*a + b*b: an enumeration of T0(ell) asks about twelve
-    times per distinct q, and the quadruples of one a come together, so
-    256 entries keep nearly every repeat.
-    """
-    if q % 2:
-        return ()
-    keyed = sorted((abs(n), n, 2 * m - n) for m, n in zeta_pairs(_prime_factors(q // 2)))
-    return tuple((r, s) for _, r, s in keyed)
-
-
 def solve_two_q(q: int) -> list[RSPair]:
     """All integer pairs (r, s) with s*s + 3*r*r == 2*q.
 
     The list is closed under sign flips of either component and sorted
-    by (|r|, r, s); it is empty when 2*q is not represented.
+    by (|r|, r, s); it is empty when 2*q is not represented.  s and r
+    have the same parity, so 4 divides 2*q and odd q has no solution;
+    for even q, (r, s) = (n, 2m - n) maps the solutions of
+    zeta(m, n) == q/2 one to one onto them.
     """
-    return list(iter_two_q(q))
+    check_range("q", q, 1)
+    return list(_two_q_pairs(q))
+
+
+@lru_cache(maxsize=256)
+def _two_q_pairs(q: int) -> tuple[RSPair, ...]:
+    """The pairs of solve_two_q(q) in order.
+
+    Cached because coeff_matrix asks for the same q once per quadruple
+    sharing a*a + b*b: an enumeration of T0(ell) asks about twelve
+    times per distinct q, and the quadruples of one a come together, so
+    256 entries keep nearly every repeat.  RSPair is frozen, so callers
+    may share the cached objects.
+    """
+    if q % 2:
+        return ()
+    keyed = sorted((abs(n), n, 2 * m - n) for m, n in zeta_pairs(_prime_factors(q // 2)))
+    return tuple(RSPair(r, s, q) for _, r, s in keyed)
 
 
 def solve_three_d2(d: int) -> list[NormalQuadruple]:
@@ -399,17 +395,18 @@ def solve_three_d2(d: int) -> list[NormalQuadruple]:
     to every coordinate permutation and sign pattern whose first
     coordinate is positive.  Sorted lexicographically on (a, b, c).
     d must be odd (the even case has no solutions worth inventing) and
-    3*d*d must fit in 2**63 - 1.  Since 3*d*d == 3 mod 8, a primitive
-    solution has a, b and c all odd, so for each odd a <= d the pairs
-    (b, c) are the sums of two squares b*b + c*c == 3*d*d - a*a, read
-    off the factorization of that number in the Gaussian integers.
+    at most THREE_D2_DMAX = 10**5, else RangeError.  Since
+    3*d*d == 3 mod 8, a primitive solution has a, b and c all odd, so
+    for each odd a <= d the pairs (b, c) are the sums of two squares
+    b*b + c*c == 3*d*d - a*a, read off the factorization of that number
+    in the Gaussian integers: one factorization per a.
     """
     check_range("d", d, 1)
     if d % 2 == 0:
         raise DomainError(f"d must be odd, got {d}")
+    if d > THREE_D2_DMAX:
+        raise RangeError(f"d must be at most {THREE_D2_DMAX}, got {d}")
     target = 3 * d * d
-    if target > INT64_MAX:
-        raise RangeError(f"d must satisfy 3*d*d <= 2**63 - 1, got {d}")
     base: list[tuple[int, int, int]] = []
     for a in range(1, d + 1, 2):
         for b, c in _norm_elements(_prime_factors(target - a * a), _GAUSSIAN):

@@ -121,30 +121,26 @@ def brute_triangles_grid(n: int, *, force: bool = False) -> list[Triangle]:
     return scan_triangles(_grid_points(n))
 
 
-def brute_tetrahedra_grid(n: int, *, prune: bool = True, force: bool = False) -> list[Tetrahedron]:
+def brute_tetrahedra_grid(n: int, *, force: bool = False) -> list[Tetrahedron]:
     """Regular tetrahedra with vertices in the cube {0..n}^3.
 
     The n = 1 cube contains exactly the 2 inscribed regular tetrahedra.
     """
     _check_grid_size(n, force)
-    return scan_tetrahedra(_grid_points(n), prune=prune)
+    return scan_tetrahedra(_grid_points(n))
 
 
-def brute_t0(ell: int, *, bound: int | None = None) -> set[LatticeTetrahedron]:
+def brute_t0(ell: int) -> set[LatticeTetrahedron]:
     """Regular tetrahedra with a vertex at the origin and squared side
     2*ell*ell, found by raw sphere scanning.
 
-    All non-origin vertices lie on the sphere of squared radius
-    2*ell*ell, whose points have coordinates within 2*ell, so the
-    default bound is always sufficient; a smaller one is rejected.
+    The other three vertices lie on the sphere of squared radius
+    2*ell*ell and are pairwise at that same squared distance, so they
+    are the 3-cliques of that distance graph on the sphere.
     """
     check_range("ell", ell, 1)
-    if bound is None:
-        bound = 2 * ell
-    if bound < 2 * ell:
-        raise DomainError(f"bound {bound} cannot hold a tetrahedron of squared side {2 * ell * ell}")
     target = 2 * ell * ell
-    reach = min(bound, isqrt(target))
+    reach = isqrt(target)
     sphere = [
         (x, y, z)
         for x in range(-reach, reach + 1)
@@ -152,21 +148,10 @@ def brute_t0(ell: int, *, bound: int | None = None) -> set[LatticeTetrahedron]:
         for z in range(-reach, reach + 1)
         if x * x + y * y + z * z == target
     ]
-    adjacent: dict[int, set[int]] = {i: set() for i in range(len(sphere))}
-    for i, pi in enumerate(sphere):
-        for j in range(i + 1, len(sphere)):
-            if dist_sq(pi, sphere[j]) == target:
-                adjacent[i].add(j)
-                adjacent[j].add(i)
-    out: set[LatticeTetrahedron] = set()
-    for i in range(len(sphere)):
-        for j in adjacent[i]:
-            if j <= i:
-                continue
-            for t in adjacent[i] & adjacent[j]:
-                if t > j:
-                    out.add(LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t])))
-    return out
+    pairs = [(i, j) for i, pi in enumerate(sphere) for j in range(i + 1, len(sphere))
+             if dist_sq(pi, sphere[j]) == target]
+    tris = _cliques(pairs, want_tetra=False)[0]
+    return {LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t])) for i, j, t in tris}
 
 
 @dataclass(frozen=True)
@@ -187,26 +172,24 @@ def compare(parametrized, brute) -> ComparisonReport:
     return ComparisonReport(missing=tuple(sorted(bru - par)), extra=tuple(sorted(par - bru)))
 
 
-@dataclass(frozen=True)
-class GridCountRecord:
-    """Counts for one grid size; None marks a shape that was not scanned."""
-
-    n: int
-    triangles: int | None = None
-    tetrahedra: int | None = None
-
-
 def read_bfile(path) -> list[tuple[int, int]]:
     """Parse an OEIS b-file: one 'index value' pair per line.
 
-    Blank lines and '#' comments are ignored; anything else malformed
-    raises DomainError with the offending line number, and so does a
-    missing file.
+    Blank lines and '#' comments are ignored; anything else malformed,
+    including bytes that are not UTF-8, raises DomainError with the
+    offending line number, and a file that cannot be read raises
+    DomainError naming it.
     """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
+        text = data.decode()
     except FileNotFoundError:
         raise DomainError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DomainError(f"{path}:{lineno}: not UTF-8 text") from None
     terms: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -241,10 +224,8 @@ class OffsetReport:
         return not self.mismatches and not self.missing
 
 
-def compare_with_bfile(
-    counts: dict[int, int], terms: list[tuple[int, int]], offsets: tuple[int, ...] = (0, 1)
-) -> tuple[OffsetReport, ...]:
-    """Compare computed grid counts with b-file terms under each offset.
+def compare_with_bfile(counts: dict[int, int], terms: list[tuple[int, int]]) -> tuple[OffsetReport, ...]:
+    """Compare computed grid counts with b-file terms under offsets 0 and 1.
 
     Sequence catalogs disagree about whether the index counts grid
     points or unit cells, so both conventions are reported instead of
@@ -252,7 +233,7 @@ def compare_with_bfile(
     """
     table = dict(terms)
     reports = []
-    for offset in offsets:
+    for offset in (0, 1):
         compared = []
         mismatches = []
         missing = []

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .eisenstein import omega, zeta
-from .errors import ConstructionError, DomainError, VerificationError
-from .numtheory import NormalQuadruple, check_range, solve_three_d2
+from .errors import ConstructionError, DomainError, RangeError, VerificationError
+from .numtheory import THREE_D2_DMAX, NormalQuadruple, check_range, solve_three_d2
 from .triangle import (
     ORIGIN,
     CoeffMatrix,
@@ -88,7 +88,12 @@ def verify_regular(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
 
 def _apexes(cm: CoeffMatrix, m: int, n: int) -> tuple[LatticeTriangle, list[tuple[int, Point]]]:
     """The (m, n) triangle of cm, built and re-verified once, and its
-    lattice apexes as (sign, apex) pairs (see fourth_vertex)."""
+    lattice apexes as (sign, apex) pairs.
+
+    The apex on side sign is (P + Q + sign*2k*(a, b, c)) / 3 where
+    k*k == zeta(m, n); it lands on the lattice for both signs when k is
+    divisible by 3 and for exactly one sign otherwise.
+    """
     tri = triangle_points(cm, m, n)
     value = zeta(m, n)
     k = isqrt(value)
@@ -105,31 +110,11 @@ def _apexes(cm: CoeffMatrix, m: int, n: int) -> tuple[LatticeTriangle, list[tupl
     return tri, apexes
 
 
-def _tetrahedron(tri: LatticeTriangle, apex: Point) -> LatticeTetrahedron:
-    """The re-verified tetrahedron over tri with the given apex."""
-    tet = LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))
-    if tet.side_sq != tri.side_sq:
-        raise ConstructionError(f"completion changed the squared side: {tet.side_sq} != {tri.side_sq}")
-    return tet
-
-
 def signed_completions(cm: CoeffMatrix, m: int, n: int) -> list[tuple[int, LatticeTetrahedron]]:
     """Regular tetrahedra over the (m, n) triangle of cm, each paired
     with the side (+1 or -1) of the plane that holds its apex."""
     tri, apexes = _apexes(cm, m, n)
-    return [(sign, _tetrahedron(tri, apex)) for sign, apex in apexes]
-
-
-def fourth_vertex(cm: CoeffMatrix, m: int, n: int, sign: int) -> Point | None:
-    """Apex over the (m, n) triangle on the chosen side, or None.
-
-    The apex is (P + Q + sign*2k*(a, b, c)) / 3 where k*k == zeta(m, n);
-    it lands on the lattice for both signs when k is divisible by 3 and
-    for exactly one sign otherwise.  None means this side misses.
-    """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    return dict(_apexes(cm, m, n)[1]).get(sign)
+    return [(sign, LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))) for sign, apex in apexes]
 
 
 def complete_tetrahedron(quad: NormalQuadruple, cm: CoeffMatrix, m: int, n: int) -> list[LatticeTetrahedron]:
@@ -154,22 +139,25 @@ def enumerate_t0(ell: int) -> set[LatticeTetrahedron]:
     a completion only when its apex is lexicographically greater than
     both other non-origin vertices (its canonical face) emits every
     tetrahedron exactly once; the set never deduplicates.  The counts
-    start 8, 8, 40, 8, 56 for ell = 1..5.
+    start 8, 8, 40, 8, 56 for ell = 1..5.  The largest d is the odd part
+    of ell, so an odd part above THREE_D2_DMAX raises RangeError up front.
     """
-    check_range("ell", ell, 1)
     return set(_walk_t0(ell))
 
 
 def count_t0(ell: int) -> int:
     """len(enumerate_t0(ell)), counted off the walk without holding the set."""
-    check_range("ell", ell, 1)
     return sum(1 for _ in _walk_t0(ell))
 
 
 def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
     """The one-pass walk behind enumerate_t0, one tetrahedron per canonical face."""
-    for d in range(1, ell + 1, 2):
-        if ell % d:
+    check_range("ell", ell, 1)
+    odd = ell >> ((ell & -ell).bit_length() - 1)
+    if odd > THREE_D2_DMAX:
+        raise RangeError(f"the odd part of ell must be at most {THREE_D2_DMAX}, got {odd}")
+    for d in range(1, odd + 1, 2):
+        if odd % d:
             continue
         pairs = sorted(omega(ell // d))
         for quad in solve_three_d2(d):
@@ -178,7 +166,7 @@ def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
                 tri, apexes = _apexes(cm, m, n)
                 for _, apex in apexes:
                     if apex > tri.p and apex > tri.q:
-                        yield _tetrahedron(tri, apex)
+                        yield LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))
 
 
 def face_normals(tet: LatticeTetrahedron) -> FaceNormalSet:

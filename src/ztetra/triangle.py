@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .eisenstein import zeta
 from .errors import ConstructionError, DomainError, VerificationError
-from .numtheory import NormalQuadruple, RSPair, iter_two_q
+from .numtheory import NormalQuadruple, RSPair, solve_two_q
 
 Point = tuple[int, int, int]
 
@@ -113,13 +113,13 @@ def _entries_for(quad: NormalQuadruple, rs: RSPair) -> dict[str, int] | None:
 def coeff_matrix(quad: NormalQuadruple) -> CoeffMatrix:
     """Generator coefficients for the plane of quad.
 
-    Walks the solutions of s*s + 3*r*r == 2*q lazily in their canonical
-    order and stops at the first (r, s) whose twelve coefficients all
-    divide out to integers; divisions are checked exactly.  A quadruple admitting
-    no such (r, s) raises ConstructionError (never observed for a valid
-    primitive quadruple).
+    Walks the solutions of s*s + 3*r*r == 2*q in the order of
+    solve_two_q and stops at the first (r, s) whose twelve coefficients
+    all divide out to integers; divisions are checked exactly.  A
+    quadruple admitting no such (r, s) raises ConstructionError (never
+    observed for a valid primitive quadruple).
     """
-    for rs in iter_two_q(quad.q):
+    for rs in solve_two_q(quad.q):
         entries = _entries_for(quad, rs)
         if entries is None:
             continue

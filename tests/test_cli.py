@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -196,6 +197,25 @@ def test_grid_count_rejects_a_missing_bfile_before_scanning(capsys, tmp_path):
     assert captured.err == f"error: no such file: {path}\n"
 
 
+def test_grid_count_rejects_a_bfile_directory(capsys, tmp_path):
+    code = main(["grid-count", "--n", "2", "--shape", "tetra", "--bfile", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_enumerate_t0_rejects_a_large_odd_part_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["enumerate-t0", "--ell", "100001", "--count-only"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert "the odd part of ell must be at most 100000" in captured.err
+
+
 def test_triples_rejects_kmax_above_the_bound(capsys):
     code = main(["triples", "--kmax", str(10**6 + 1)])
     captured = capsys.readouterr()
@@ -252,6 +272,48 @@ def test_verify_rejects_unknown_kind_and_bad_json(capsys, tmp_path):
     path.write_text("not json\n")
     assert run(capsys, "verify", "--file", str(path))[0] == 1
     assert run(capsys, "verify", "--file", str(tmp_path / "absent.jsonl"))[0] == 1
+
+
+def test_verify_rejects_a_directory(capsys, tmp_path):
+    assert main(["verify", "--file", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_verify_rejects_bytes_that_are_not_utf8(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    good = b'{"kind":"pair","m":8,"n":3,"k":7}\n'
+    for data, lineno in ((b"\xff\xfe" + good, 1), (good + b"\xff\xfe" + good, 2)):
+        path.write_bytes(data)
+        assert main(["verify", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:{lineno}: malformed record ('utf-8' codec")
+
+
+def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    for argv in (["enumerate-t0", "--ell", "3", "--count-only"],
+                 ["grid-count", "--n", "1", "--shape", "tetra"],
+                 ["oracle-compare", "--ell", "2"]):
+        assert main(argv) == 0
+        path.write_text(capsys.readouterr().out)
+        assert run(capsys, "verify", "--file", str(path))[0] == 0, argv
+    good = '{"kind":"pair","m":8,"n":3,"k":7}'
+    for bad in ('{"kind":"count","value":1.5}',
+                '{"kind":"count","value":true}',
+                '{"kind":"count","what":"tetrahedra_t0","ell":3.0,"value":40}',
+                '{"kind":"count","what":"grid_tetrahedra","n":false,"shape":"tetra","value":2}',
+                '{"kind":"diff","what":"t0_oracle","ell":2.0,"missing":[],"extra":[]}',
+                '{"kind":"diff","what":"bfile","offset":true,"matched":true}',
+                '{"kind":"diff","what":"bfile","offset":0,"matched":1}',
+                '{"kind":"diff","what":"bfile","offset":0,"matched":"true"}'):
+        path.write_text(good + "\n" + bad + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2: malformed record" in captured.err, bad
 
 
 def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
@@ -320,6 +382,16 @@ def test_import_does_not_load_fractions():
         [sys.executable, "-c", "import ztetra, ztetra.cli, sys; print('fractions' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_star_import_and_unique_exports():
+    # A name deleted from the package but left in __all__ breaks the star import.
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ztetra import *; import ztetra; "
+         "print(len(ztetra.__all__) == len(set(ztetra.__all__)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_output_is_deterministic(capsys):

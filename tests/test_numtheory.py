@@ -22,7 +22,6 @@ from ztetra import (
     factorize,
     is_loeschian,
     is_prime,
-    iter_two_q,
     solve_three_d2,
     solve_two_q,
 )
@@ -295,11 +294,14 @@ def test_solve_two_q_known_values():
     with pytest.raises(RangeError):
         solve_two_q(0)
     with pytest.raises(RangeError):
-        iter_two_q(0)
+        solve_two_q(INT64_MAX + 1)
+    # Each call hands out a fresh list, so a caller cannot edit the cache.
+    solve_two_q(2).clear()
+    assert len(solve_two_q(2)) == 6
 
 
 @given(st.integers(min_value=1, max_value=10**9))
-def test_iter_two_q_matches_solve_two_q(q):
+def test_solve_two_q_matches_set_and_sort(q):
     # Reference: every (r, s), collected as a set and sorted by (|r|, r, s).
     from math import isqrt
 
@@ -310,12 +312,12 @@ def test_iter_two_q_matches_solve_two_q(q):
         if s * s == rest:
             found.update({(r, s), (r, -s), (-r, s), (-r, -s)})
     want = [RSPair(r, s, q) for r, s in sorted(found, key=lambda p: (abs(p[0]), p[0], p[1]))]
-    assert list(iter_two_q(q)) == solve_two_q(q) == want
+    assert solve_two_q(q) == want
 
 
-def test_iter_two_q_matches_scan():
+def test_solve_two_q_matches_scan():
     for q in range(1, 2 * 10**4 + 1):
-        assert [(p.r, p.s) for p in iter_two_q(q)] == referee_two_q(q), q
+        assert [(p.r, p.s) for p in solve_two_q(q)] == referee_two_q(q), q
 
 
 def test_solve_two_q_closed_under_sign_flips():
@@ -393,3 +395,23 @@ def test_solve_three_d2_rejects_bad_d():
     # The first odd d with 3*d*d > 2**63 - 1.
     with pytest.raises(RangeError):
         solve_three_d2(1753413057)
+
+
+def test_solve_three_d2_caps_d(monkeypatch):
+    from ztetra import numtheory
+
+    assert numtheory.THREE_D2_DMAX == 10**5
+    with pytest.raises(RangeError, match="at most 100000"):
+        solve_three_d2(10**5 + 1)
+    # 99999 passes the bound: the scan starts and is stopped at its
+    # first factorization, so no full scan runs.
+
+    class Started(Exception):
+        pass
+
+    def stop(t):
+        raise Started
+
+    monkeypatch.setattr(numtheory, "_prime_factors", stop)
+    with pytest.raises(Started):
+        solve_three_d2(10**5 - 1)

@@ -83,9 +83,6 @@ def test_brute_t0_unit():
 
 
 def test_brute_t0_bound_validation():
-    assert brute_t0(1, bound=5) == brute_t0(1)
-    with pytest.raises(DomainError):
-        brute_t0(2, bound=3)
     with pytest.raises(RangeError):
         brute_t0(0)
 
@@ -117,6 +114,14 @@ def test_read_bfile_rejects_malformed_lines(tmp_path):
         read_bfile(path)
     with pytest.raises(DomainError, match="no such file"):
         read_bfile(tmp_path / "absent.txt")
+    with pytest.raises(DomainError, match=f"cannot read {tmp_path}: Is a directory"):
+        read_bfile(tmp_path)
+    path.write_bytes(b"\xff\xfe0\x00 \x000\x00\n\x00")  # UTF-16
+    with pytest.raises(DomainError, match=f"{path}:1: not UTF-8 text"):
+        read_bfile(path)
+    path.write_bytes(b"0 0\n1 2\n2 \xff\n")
+    with pytest.raises(DomainError, match=f"{path}:3: not UTF-8 text"):
+        read_bfile(path)
 
 
 def test_compare_with_bfile_offset_zero():

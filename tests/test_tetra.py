@@ -21,9 +21,9 @@ from ztetra import (
     coeff_matrix,
     complete_tetrahedron,
     corollary_solution,
+    count_t0,
     enumerate_t0,
     face_normals,
-    fourth_vertex,
     omega,
     signed_completions,
     solve_three_d2,
@@ -79,9 +79,7 @@ def test_completion_gives_both_sides_when_k_divisible_by_3():
 def test_fourth_vertex_validates_input():
     cm = coeff_matrix(UNIT_QUAD)
     with pytest.raises(DomainError):
-        fourth_vertex(cm, 2, 1, 1)  # zeta = 3 is not a square
-    with pytest.raises(DomainError):
-        fourth_vertex(cm, 1, 0, 0)
+        signed_completions(cm, 2, 1)  # zeta = 3 is not a square
     with pytest.raises(DomainError):
         complete_tetrahedron(NormalQuadruple(1, 1, -1, 1), cm, 1, 0)
 
@@ -95,7 +93,7 @@ def test_sign_dichotomy_small():
                     for n in range(-2 * k, 2 * k + 1):
                         if zeta(m, n) != k * k:
                             continue
-                        hits = [s for s in (1, -1) if fourth_vertex(cm, m, n, s) is not None]
+                        hits = {sign for sign, _ in signed_completions(cm, m, n)}
                         assert len(hits) == (2 if k % 3 == 0 else 1), (quad, m, n)
 
 
@@ -114,6 +112,33 @@ def test_enumerate_t0_members_are_origin_tetrahedra():
             assert tet.side_sq == 2 * ell * ell
             assert tet.ell == ell
             assert tet.vertices == tuple(sorted(tet.vertices))
+
+
+def test_enumerate_t0_caps_the_odd_part_of_ell(monkeypatch):
+    from ztetra import tetra
+
+    for ell in (10**5 + 1, 2**20 * (10**5 + 1)):
+        with pytest.raises(RangeError, match="odd part of ell"):
+            enumerate_t0(ell)
+        with pytest.raises(RangeError, match="odd part of ell"):
+            count_t0(ell)
+    # Only odd divisors are walked, so a power of two is a scaled T0(1).
+    assert count_t0(2**60) == len(enumerate_t0(2**60)) == 8
+
+    # An odd part at the cap passes: the walk starts and is stopped at
+    # its first omega call, so no full walk runs.
+    class Started(Exception):
+        pass
+
+    def stop(k):
+        raise Started
+
+    monkeypatch.setattr(tetra, "omega", stop)
+    for ell in (10**5 - 1, 2**20 * (10**5 - 1)):
+        with pytest.raises(Started):
+            enumerate_t0(ell)
+        with pytest.raises(Started):
+            count_t0(ell)
 
 
 def test_enumerate_t0_is_deterministic():
@@ -148,15 +173,21 @@ def test_enumerate_t0_matches_brute_force():
 
 
 def test_signed_completions_agree_with_fourth_vertex():
+    # Reference: the apex (P + Q + sign*2k*(a, b, c)) / 3, kept for each
+    # sign that lands on the lattice.
     for quad in solve_three_d2(3):
         cm = coeff_matrix(quad)
         for m, n in ((1, 0), (3, 0), (3, 8), (-5, 3)):
-            for sign, tet in signed_completions(cm, m, n):
-                apex = fourth_vertex(cm, m, n, sign)
-                assert apex in tet.vertices
-                assert tet.vertices == LatticeTetrahedron.from_vertices(
-                    (ORIGIN, cm.point_p(m, n), cm.point_q(m, n), apex)).vertices
-            assert [tet for _, tet in signed_completions(cm, m, n)] == complete_tetrahedron(quad, cm, m, n)
+            p, q = cm.point_p(m, n), cm.point_q(m, n)
+            k = isqrt(zeta(m, n))
+            want = []
+            for sign in (1, -1):
+                nums = [p[i] + q[i] + sign * 2 * k * quad.normal[i] for i in range(3)]
+                if all(v % 3 == 0 for v in nums):
+                    apex = tuple(v // 3 for v in nums)
+                    want.append((sign, LatticeTetrahedron.from_vertices((ORIGIN, p, q, apex))))
+            assert signed_completions(cm, m, n) == want
+            assert [tet for _, tet in want] == complete_tetrahedron(quad, cm, m, n)
 
 
 def signed_permutations():
@@ -406,7 +437,7 @@ def test_apex_signs_agree_with_fourth_vertex():
     for m, n, k in ((1, 0, 1), (1, 1, 1), (0, 1, 1), (2, 0, 2), (3, 0, 3)):
         tri = triangle_points(cm, m, n)
         want = apex_signs((ORIGIN, tri.p, tri.q), UNIT_QUAD.normal, k)
-        got = {s for s in (1, -1) if fourth_vertex(cm, m, n, s) is not None}
+        got = {sign for sign, _ in signed_completions(cm, m, n)}
         assert got == want
 
 
