@@ -236,6 +236,21 @@ def _check_ints(name: str, value, shape: tuple[int, ...]) -> None:
             raise TypeError(f"{name} must hold only integers, got {value!r}")
 
 
+def _verify_triple(rec: dict) -> None:
+    """(m, n, k) is a triple, and u, v and form, when any is given, are
+    all given and generate it by the formulas of EisensteinTriple."""
+    m, n, k = rec["m"], rec["n"], rec["k"]
+    EisensteinTriple(m, n, k)
+    if not {"u", "v", "form"} & rec.keys():
+        return
+    u, v, form = rec["u"], rec["v"], rec["form"]
+    forms = {1: (v * v - u * u, 2 * u * v - u * u), 2: (2 * u * v - u * u, 2 * u * v - v * v)}
+    if form not in forms:
+        raise VerificationError(f"triple form must be 1 or 2, got {form}")
+    if (m, n) != forms[form] or k != zeta(u, v):
+        raise VerificationError(f"(m, n, k) = {(m, n, k)} is not form {form} of (u, v) = {(u, v)}")
+
+
 def _verify_record(rec: dict) -> None:
     kind = rec.get("kind")
     for name, shape in _INT_FIELDS.get(kind, {}).items():
@@ -266,7 +281,7 @@ def _verify_record(rec: dict) -> None:
         if zeta(rec["m"], rec["n"]) != rec["k"] ** 2:
             raise VerificationError(f"zeta({rec['m']}, {rec['n']}) != {rec['k']}^2")
     elif kind == "triple":
-        EisensteinTriple(rec["m"], rec["n"], rec["k"])
+        _verify_triple(rec)
     elif kind == "diff":
         if type(rec.get("matched", False)) is not bool:
             raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
@@ -355,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate_t0)
 
     p = sub.add_parser("grid-count", parents=[common],
-                       help="brute-force shape count over the cube {0..n}^3")
+                       help="brute-force shape count over the cube {0..n}^3 for n <= 6")
     p.add_argument("--n", type=checked_int, required=True)
     p.add_argument("--shape", choices=("tetra", "triangle"), required=True)
     p.add_argument("--bfile", default=None, help="OEIS b-file to compare against")

@@ -246,13 +246,11 @@ def is_prime(n: int) -> bool:
 def is_loeschian(t: int) -> bool:
     """Whether t is representable as m*m - m*n + n*n.
 
-    Holds exactly when 2 and every prime congruent to 5 mod 6 occur in t
-    to an even power.  0 counts via (m, n) = (0, 0).
+    That is, whether count_representations(t) is nonzero; 0 counts via
+    (m, n) = (0, 0).
     """
     check_range("t", t, 0)
-    if t == 0:
-        return True
-    return all(e % 2 == 0 for p, e in factorize(t).factors if p == 2 or p % 6 == 5)
+    return t == 0 or count_representations(t) > 0
 
 
 def count_representations(k: int) -> int:

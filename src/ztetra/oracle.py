@@ -104,7 +104,8 @@ def _check_grid_size(n: int, force: bool) -> None:
     check_range("n", n, 0)
     if n > GRID_GUARD and not force:
         raise RangeError(
-            f"grid size n = {n} exceeds the desk-scale guard {GRID_GUARD}; pass force=True to override")
+            f"grid size n = {n} exceeds the brute-force cap {GRID_GUARD}; "
+            "the library keyword force=True lifts it")
 
 
 def _grid_points(n: int) -> list[Point]:

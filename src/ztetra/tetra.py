@@ -124,7 +124,7 @@ def complete_tetrahedron(quad: NormalQuadruple, cm: CoeffMatrix, m: int, n: int)
     the plane).  Every result is re-verified before it is handed back.
     """
     if quad != cm.quad:
-        raise DomainError("quad does not match the coefficient matrix")
+        raise DomainError("quad is not the plane of the generators cm")
     return [tet for _, tet in signed_completions(cm, m, n)]
 
 

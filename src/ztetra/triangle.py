@@ -1,11 +1,13 @@
 """Equilateral triangles in Z^3 with one vertex at the origin.
 
 Every such triangle lies in a plane a*x + b*y + c*z = 0 whose normal
-satisfies a^2 + b^2 + c^2 = 3*d^2 with d odd, and its two free vertices
-are integer linear images of a parameter pair (m, n).  coeff_matrix
-derives the integer coefficients attached to a plane, triangle_points
-instantiates a triangle, and verify_equilateral is the independent
-arbiter the rest of the package leans on.
+satisfies a^2 + b^2 + c^2 = 3*d^2 with d odd.  Its free vertices come
+from two lattice generators u and v of that plane and a parameter pair
+(m, n): P(m, n) = m*u - n*v, and Q(m, n) = P(m - n, m) is P turned by
+60 degrees about the origin, the rotation (m, n) -> (m - n, m) of
+eisenstein.tau_orbit.  coeff_matrix derives u and v for a plane,
+triangle_points instantiates a triangle, and verify_equilateral is the
+independent arbiter the rest of the package leans on.
 """
 
 from __future__ import annotations
@@ -52,78 +54,55 @@ class LatticeTriangle:
 
 @dataclass(frozen=True)
 class CoeffMatrix:
-    """Integer generator coefficients for the triangles of one plane.
+    """The two lattice generators u and v of one plane, built from rs.
 
-    The free vertices of the triangle with parameters (m, n) are
-        P = (mu*m - nu*n, mv*m - nv*n, mw*m - nw*n)
-        Q = (mx*m - nx*n, my*m - ny*n, mz*m - nz*n)
-    and the squared side is 2 * d*d * zeta(m, n).
+    The triangle with parameters (m, n) has free vertices
+    P(m, n) = m*u - n*v and Q(m, n) = P(m - n, m), Q being P rotated by
+    60 degrees within the plane; its squared side is 2 * d*d * zeta(m, n).
     """
 
     quad: NormalQuadruple
     rs: RSPair
-    mx: int
-    nx: int
-    my: int
-    ny: int
-    mz: int
-    nz: int
-    mu: int
-    nu: int
-    mv: int
-    nv: int
-    mw: int
-    nw: int
+    u: Point
+    v: Point
 
     def point_p(self, m: int, n: int) -> Point:
-        return (self.mu * m - self.nu * n, self.mv * m - self.nv * n, self.mw * m - self.nw * n)
+        u, v = self.u, self.v
+        return (m * u[0] - n * v[0], m * u[1] - n * v[1], m * u[2] - n * v[2])
 
     def point_q(self, m: int, n: int) -> Point:
-        return (self.mx * m - self.nx * n, self.my * m - self.ny * n, self.mz * m - self.nz * n)
+        return self.point_p(m - n, m)
 
 
-def _entries_for(quad: NormalQuadruple, rs: RSPair) -> dict[str, int] | None:
-    """Coefficient entries for one (r, s) candidate, or None if any division leaves a remainder."""
+def _generators(quad: NormalQuadruple, rs: RSPair) -> tuple[Point, Point] | None:
+    """u and v for one (r, s) candidate, or None if a division leaves a remainder.
+
+    s*s + 3*r*r == 2*q forces r and s to the same parity, so (r + s) // 2
+    is exact.
+    """
     a, b, c, d, q = quad.a, quad.b, quad.c, quad.d, quad.q
     r, s = rs.r, rs.s
-    halves = {
-        "mx": -(d * b * (3 * r + s) + a * c * (r - s)),
-        "my": d * a * (3 * r + s) - b * c * (r - s),
-        "nu": -(d * b * (s - 3 * r) + a * c * (r + s)),
-        "nv": d * a * (s - 3 * r) - b * c * (r + s),
-    }
-    wholes = {
-        "nx": -(r * a * c + d * b * s),
-        "ny": d * a * s - b * c * r,
-        "mu": -(r * a * c + d * b * s),
-        "mv": d * a * s - r * b * c,
-    }
-    if any(v % (2 * q) for v in halves.values()):
+    ux, uy = -(r * a * c + d * b * s), d * a * s - r * b * c
+    vx, vy = -(d * b * (s - 3 * r) + a * c * (r + s)), d * a * (s - 3 * r) - b * c * (r + s)
+    if ux % q or uy % q or vx % (2 * q) or vy % (2 * q):
         return None
-    if any(v % q for v in wholes.values()):
-        return None
-    if (r - s) % 2 or (r + s) % 2:
-        return None
-    entries = {key: v // (2 * q) for key, v in halves.items()}
-    entries.update({key: v // q for key, v in wholes.items()})
-    entries.update(mz=(r - s) // 2, nz=r, mw=r, nw=(r + s) // 2)
-    return entries
+    return (ux // q, uy // q, r), (vx // (2 * q), vy // (2 * q), (r + s) // 2)
 
 
 def coeff_matrix(quad: NormalQuadruple) -> CoeffMatrix:
-    """Generator coefficients for the plane of quad.
+    """Generators for the plane of quad.
 
     Walks the solutions of s*s + 3*r*r == 2*q in the order of
-    solve_two_q and stops at the first (r, s) whose twelve coefficients
-    all divide out to integers; divisions are checked exactly.  A
-    quadruple admitting no such (r, s) raises ConstructionError (never
-    observed for a valid primitive quadruple).
+    solve_two_q and stops at the first (r, s) whose generators divide
+    out to integers; divisions are checked exactly.  A quadruple
+    admitting no such (r, s) raises ConstructionError (never observed
+    for a valid primitive quadruple).
     """
     for rs in solve_two_q(quad.q):
-        entries = _entries_for(quad, rs)
-        if entries is None:
+        uv = _generators(quad, rs)
+        if uv is None:
             continue
-        cm = CoeffMatrix(quad=quad, rs=rs, **entries)
+        cm = CoeffMatrix(quad, rs, *uv)
         _check_generators(cm)
         return cm
     raise ConstructionError(f"no admissible (r, s) for quadruple {(quad.a, quad.b, quad.c, quad.d)}")
@@ -132,12 +111,7 @@ def coeff_matrix(quad: NormalQuadruple) -> CoeffMatrix:
 def _check_generators(cm: CoeffMatrix) -> None:
     """Cheap construction-time falsification guard."""
     normal = cm.quad.normal
-    for pt in (
-        (cm.mu, cm.mv, cm.mw),
-        (cm.mx, cm.my, cm.mz),
-        (cm.nu, cm.nv, cm.nw),
-        (cm.nx, cm.ny, cm.nz),
-    ):
+    for pt in (cm.u, cm.v):
         if dot(normal, pt) != 0:
             raise ConstructionError(f"generator point {pt} is off the plane of {normal}")
     d = cm.quad.d

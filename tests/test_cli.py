@@ -166,6 +166,19 @@ def test_grid_count(capsys):
     assert records(out)[0]["value"] == 8
 
 
+def test_grid_count_states_its_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{0..n}^3 for n <= 6" in " ".join(capsys.readouterr().out.split())
+    start = time.perf_counter()
+    assert main(["grid-count", "--n", "7", "--shape", "tetra"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "brute-force cap 6" in captured.err
+    assert "library keyword force=True" in captured.err
+
+
 def test_grid_count_with_bfile(capsys, tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("# tetrahedra per grid\n0 0\n1 2\n2 18\n")
@@ -328,6 +341,30 @@ def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
         assert f"{path}:2:" in captured.err, bad
     path.write_text(good + "\n")
     assert run(capsys, "verify", "--file", str(path))[0] == 0
+
+
+def test_verify_checks_triple_generators(capsys, tmp_path):
+    # triples --kmax 7 emits (8, 3, 7) from (u, v) = (2, 3) by form 2.
+    path = tmp_path / "triples.jsonl"
+    good = '{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":2}'
+    for bad, why in (('{"kind":"triple","m":8,"n":3,"k":7,"u":3,"v":3,"form":2}', "is not form 2"),
+                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":9}', "form must be 1 or 2"),
+                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":1}', "is not form 1"),
+                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3}', "malformed record ('form')")):
+        path.write_text(good + "\n" + bad + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2: " in captured.err and why in captured.err, (bad, captured.err)
+    # Form 1 of (u, v) = (2, 3) is (5, 8); u == v is accepted, and a triple
+    # without u, v and form is checked on (m, n, k) alone.
+    path.write_text(good + "\n"
+                    + '{"kind":"triple","m":5,"n":8,"k":7,"u":2,"v":3,"form":1}\n'
+                    + '{"kind":"triple","m":0,"n":9,"k":9,"u":3,"v":3,"form":1}\n'
+                    + '{"kind":"triple","m":8,"n":3,"k":7}\n')
+    code, out = run(capsys, "verify", "--file", str(path))
+    assert code == 0
+    assert records(out) == [{"kind": "count", "what": "verified_records", "value": 4}]
 
 
 def test_verify_rejects_non_integer_fields(capsys, tmp_path):

@@ -49,10 +49,15 @@ def valid(rec):
         a, b, c, d, q = (rec[f] for f in "abcdq")
         return d >= 1 and d % 2 == 1 and a * a + b * b + c * c == 3 * d * d and q == a * a + b * b
     if kind in ("pair", "triple"):
-        # A triple's u, v and form record how it was generated; only
-        # (m, n, k) is re-verified.
         m, n, k = rec["m"], rec["n"], rec["k"]
-        return k >= 1 and m * m - m * n + n * n == k * k
+        if not (k >= 1 and m * m - m * n + n * n == k * k):
+            return False
+        if kind == "pair":
+            return True
+        # u, v and form must generate (m, n) and k.
+        u, v, form = rec["u"], rec["v"], rec["form"]
+        forms = {1: (v * v - u * u, 2 * u * v - u * u), 2: (2 * u * v - u * u, 2 * u * v - v * v)}
+        return form in forms and forms[form] == (m, n) and k == u * u - u * v + v * v
     if kind == "triangle":
         origin = (0, 0, 0)
         sides = {sq_dist(origin, rec["p"]), sq_dist(origin, rec["q"]), sq_dist(rec["p"], rec["q"])}

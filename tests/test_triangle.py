@@ -1,4 +1,4 @@
-"""Triangle generators: coefficient matrices and the (m, n) parametrization."""
+"""Triangle generators: the two generators per plane and the (m, n) parametrization."""
 
 import pytest
 
@@ -40,13 +40,30 @@ def admissible(quad, rs):
     )
 
 
+def paper_entries(quad, rs):
+    """The twelve coefficients of the paper's characterization, as the
+    four points (mu, mv, mw), (nu, nv, nw), (mx, my, mz), (nx, ny, nz):
+    P = (mu*m - nu*n, ...) and Q = (mx*m - nx*n, ...)."""
+    a, b, c, d = quad.a, quad.b, quad.c, quad.d
+    r, s = rs.r, rs.s
+    q = quad.q
+    mu = (-(r * a * c + d * b * s) // q, (d * a * s - r * b * c) // q, r)
+    nu = (-(d * b * (s - 3 * r) + a * c * (r + s)) // (2 * q),
+          (d * a * (s - 3 * r) - b * c * (r + s)) // (2 * q), (r + s) // 2)
+    mx = (-(d * b * (3 * r + s) + a * c * (r - s)) // (2 * q),
+          (d * a * (3 * r + s) - b * c * (r - s)) // (2 * q), (r - s) // 2)
+    nx = (-(r * a * c + d * b * s) // q, (d * a * s - b * c * r) // q, r)
+    return mu, nu, mx, nx
+
+
 def test_coeff_matrix_frozen_entries_for_unit_quad():
     cm = coeff_matrix(NormalQuadruple(1, 1, 1, 1))
     assert (cm.rs.r, cm.rs.s) == (0, -2)
-    assert (cm.mx, cm.nx, cm.my, cm.ny, cm.mz, cm.nz) == (0, 1, -1, -1, 1, 0)
-    assert (cm.mu, cm.nu, cm.mv, cm.nv, cm.mw, cm.nw) == (1, 1, -1, 0, 0, -1)
-    assert cm.point_p(1, 0) == (1, -1, 0)
+    # (mx, my, mz), (nx, ny, nz), (mu, mv, mw), (nu, nv, nw)
     assert cm.point_q(1, 0) == (0, -1, 1)
+    assert cm.point_q(0, -1) == (1, -1, 0)
+    assert cm.point_p(1, 0) == (1, -1, 0)
+    assert cm.point_p(0, -1) == (1, 0, -1)
 
 
 def test_coeff_matrix_picks_first_admissible_pair():
@@ -56,6 +73,8 @@ def test_coeff_matrix_picks_first_admissible_pair():
             candidates = [rs for rs in solve_two_q(quad.q) if admissible(quad, rs)]
             assert candidates, quad
             assert cm.rs == candidates[0], quad
+            points = (cm.point_p(1, 0), cm.point_p(0, -1), cm.point_q(1, 0), cm.point_q(0, -1))
+            assert points == paper_entries(quad, cm.rs), quad
 
 
 def test_generators_lie_in_the_plane():
@@ -65,6 +84,7 @@ def test_generators_lie_in_the_plane():
             for m, n in ((1, 0), (0, 1), (1, 1), (2, -1)):
                 assert dot(quad.normal, cm.point_p(m, n)) == 0
                 assert dot(quad.normal, cm.point_q(m, n)) == 0
+                assert cm.point_q(m, n) == cm.point_p(m - n, m)
 
 
 def test_triangle_side_follows_parameters():
