@@ -14,7 +14,7 @@ number per odd a <= d, so d is capped at THREE_D2_DMAX.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, permutations
@@ -404,16 +404,36 @@ def solve_three_d2(d: int) -> list[NormalQuadruple]:
         raise DomainError(f"d must be odd, got {d}")
     if d > THREE_D2_DMAX:
         raise RangeError(f"d must be at most {THREE_D2_DMAX}, got {d}")
+    planes = sorted(plane for trip in _base_triples(d) for plane in _coset_maps(trip))
+    return [NormalQuadruple(a, b, c, d) for a, b, c in planes]
+
+
+def _base_triples(d: int) -> Iterator[tuple[int, int, int]]:
+    """The base solutions of solve_three_d2: 0 < a <= b <= c, gcd 1,
+    a^2 + b^2 + c^2 == 3*d^2, for an odd d the caller has range-checked.
+
+    Yielded one at a time, by increasing a; every other primitive
+    solution is a signed permutation of exactly one of them.
+    """
     target = 3 * d * d
-    base: list[tuple[int, int, int]] = []
     for a in range(1, d + 1, 2):
         for b, c in _norm_elements(_prime_factors(target - a * a), _GAUSSIAN):
             if a <= b <= c and gcd(gcd(a, b), c) == 1:
-                base.append((a, b, c))
-    seen: set[tuple[int, int, int]] = set()
-    for trip in base:
-        for perm in set(permutations(trip)):
-            for sb in (1, -1):
-                for sc in (1, -1):
-                    seen.add((perm[0], sb * perm[1], sc * perm[2]))
-    return [NormalQuadruple(a, b, c, d) for a, b, c in sorted(seen)]
+                yield a, b, c
+
+
+def _coset_maps(normal: tuple[int, int, int]) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """The planes of the orbit of a base normal under the 48 signed
+    coordinate permutations, each with one signed permutation taking
+    normal to it.
+
+    The planes are the distinct signed permutations of normal with a
+    positive first coordinate (normal has none zero).  A map
+    (i0, i1, i2, s1, s2) sends v to (v[i0], s1*v[i1], s2*v[i2]).
+    """
+    maps: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    for i0, i1, i2 in permutations(range(3)):
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                maps.setdefault((normal[i0], s1 * normal[i1], s2 * normal[i2]), (i0, i1, i2, s1, s2))
+    return maps

@@ -3,10 +3,11 @@
 A lattice equilateral triangle extends to a regular lattice tetrahedron
 exactly when its parameter pair satisfies zeta(m, n) == k*k; the apex
 sits at the triangle centroid displaced by (2k/3)(a, b, c) on one or
-both sides of the plane.  enumerate_t0 walks every plane and parameter
-producing squared side 2*ell*ell, while face_normals and
-verify_orthogonality recover the exact rational orthogonal structure
-any such tetrahedron carries.
+both sides of the plane.  enumerate_t0 walks one plane per orbit of
+the 48 signed coordinate permutations and every parameter producing
+squared side 2*ell*ell, mapping what it builds onto the rest of each
+orbit, while face_normals and verify_orthogonality recover the exact
+rational orthogonal structure any such tetrahedron carries.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from math import gcd, isqrt
 
 from .eisenstein import omega, zeta
 from .errors import ConstructionError, DomainError, RangeError, VerificationError
-from .numtheory import THREE_D2_DMAX, NormalQuadruple, check_range, solve_three_d2
+from .numtheory import (
+    THREE_D2_DMAX,
+    NormalQuadruple,
+    _base_triples,
+    _coset_maps,
+    check_range,
+    solve_three_d2,
+)
 from .triangle import (
     ORIGIN,
     CoeffMatrix,
@@ -135,12 +143,23 @@ def enumerate_t0(ell: int) -> set[LatticeTetrahedron]:
     For each odd divisor d of ell and each primitive quadruple at scale
     d, the triangles with parameters in omega(ell / d) are completed on
     both sides of their plane.  Each tetrahedron has three faces through
-    the origin and the walk builds each of them exactly once, so keeping
-    a completion only when its apex is lexicographically greater than
-    both other non-origin vertices (its canonical face) emits every
-    tetrahedron exactly once; the set never deduplicates.  The counts
-    start 8, 8, 40, 8, 56 for ell = 1..5.  The largest d is the odd part
-    of ell, so an odd part above THREE_D2_DMAX raises RangeError up front.
+    the origin and each of them is built exactly once, so keeping a
+    completion only when its apex is lexicographically greater than both
+    other non-origin vertices (its canonical face) emits every
+    tetrahedron exactly once; the set never deduplicates.
+
+    The planes are visited one per orbit of the 48 signed coordinate
+    permutations.  A primitive normal has a, b and c all odd, so none is
+    zero and each orbit holds exactly one base plane 0 < a <= b <= c.
+    Its triangles and apexes are built once and carried to every other
+    plane of the orbit by one signed permutation g per plane (see
+    _coset_maps).  g is a lattice isometry fixing the origin, so it maps
+    the triangles and apexes of the base plane one-to-one onto those of
+    the image plane, and the canonical-face rule is applied to the image.
+
+    The counts start 8, 8, 40, 8, 56 for ell = 1..5.  The largest d is
+    the odd part of ell, so an odd part above THREE_D2_DMAX raises
+    RangeError up front.
     """
     return set(_walk_t0(ell))
 
@@ -151,7 +170,9 @@ def count_t0(ell: int) -> int:
 
 
 def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
-    """The one-pass walk behind enumerate_t0, one tetrahedron per canonical face."""
+    """The one-pass walk behind enumerate_t0: each base plane's triangles
+    and apexes are built once, mapped onto every plane of its orbit, and
+    each image yields one tetrahedron per canonical face."""
     check_range("ell", ell, 1)
     odd = ell >> ((ell & -ell).bit_length() - 1)
     if odd > THREE_D2_DMAX:
@@ -160,13 +181,19 @@ def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
         if odd % d:
             continue
         pairs = sorted(omega(ell // d))
-        for quad in solve_three_d2(d):
-            cm = coeff_matrix(quad)
+        for normal in _base_triples(d):
+            cm = coeff_matrix(NormalQuadruple(*normal, d))
+            maps = _coset_maps(normal).values()
             for m, n in pairs:
                 tri, apexes = _apexes(cm, m, n)
-                for _, apex in apexes:
-                    if apex > tri.p and apex > tri.q:
-                        yield LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))
+                p, q = tri.p, tri.q
+                for i0, i1, i2, s1, s2 in maps:
+                    gp = (p[i0], s1 * p[i1], s2 * p[i2])
+                    gq = (q[i0], s1 * q[i1], s2 * q[i2])
+                    for _, apex in apexes:
+                        top = (apex[i0], s1 * apex[i1], s2 * apex[i2])
+                        if top > gp and top > gq:
+                            yield LatticeTetrahedron.from_vertices((ORIGIN, gp, gq, top))
 
 
 def face_normals(tet: LatticeTetrahedron) -> FaceNormalSet:

@@ -34,6 +34,8 @@ GOLDEN = [
      "9943ba2ee03b9555b43bd031462275225c10686b10d85bf8e7e4d7c8d39f9172"),
     ("enumerate-t0 --ell 15", "73f54b12a4c782f162b933c010865d72c71f667fafe65245b75122ce5ef5c8c5"),
     ("enumerate-t0 --ell 165", "4dbc653919632a8da90dcd9987ad7edb3b2d219c72acea5746e7e792ef90bf6c"),
+    ("enumerate-t0 --ell 555", "90b32df73c12e621976e599ff3205853f7dfc5961e670f941964632ddc837f75"),
+    ("enumerate-t0 --ell 665", "6b42149593444594682441ffc700f9d8f50b600152952e6edfddca4d6b107793"),
     ("enumerate-t0 --ell 555 --count-only",
      "bf98beca58aec744d43056e0a121f31a4bc16ab9dd8b9f7e87bbd8c6cd9d85eb"),
     ("grid-count --n 3 --shape tetra", "5baa21b5ef96dc0a71fab72383cdd76394d9f62fab37d4a5e73deb745fc7331c"),

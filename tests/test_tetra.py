@@ -32,6 +32,7 @@ from ztetra import (
     verify_regular,
     zeta,
 )
+from ztetra.numtheory import _base_triples, _coset_maps
 from ztetra.tetra import _walk_t0
 from ztetra.triangle import ORIGIN, cross, dot, sub
 
@@ -198,14 +199,77 @@ def signed_permutations():
                     yield perm, (sx, sy, sz)
 
 
-def test_enumerate_t0_closed_under_cube_symmetries():
-    tets = enumerate_t0(3)
+def assert_closed_under_cube_symmetries(tets):
     for perm, signs in signed_permutations():
         for tet in tets:
             moved = tuple(
                 tuple(signs[i] * v[perm[i]] for i in range(3)) for v in tet.vertices
             )
             assert LatticeTetrahedron.from_vertices(moved) in tets
+
+
+def test_enumerate_t0_closed_under_cube_symmetries():
+    assert_closed_under_cube_symmetries(enumerate_t0(3))
+
+
+def full_plane_referee(ell):
+    """T0(ell) from every plane of solve_three_d2 and every (m, n), with
+    no symmetry and no canonical face: the walk before orbits."""
+    tets = set()
+    for d in range(1, ell + 1, 2):
+        if ell % d:
+            continue
+        pairs = omega(ell // d)
+        for quad in solve_three_d2(d):
+            cm = coeff_matrix(quad)
+            for m, n in pairs:
+                tets.update(complete_tetrahedron(quad, cm, m, n))
+    return tets
+
+
+def test_orbit_walk_matches_the_full_plane_referee():
+    for ell in (*range(1, 61), 165, 315):
+        walk = list(_walk_t0(ell))
+        assert len(walk) == len(set(walk)), ell
+        assert set(walk) == full_plane_referee(ell), ell
+
+
+def test_coset_maps_reach_every_plane_once():
+    for d in range(1, 102, 2):
+        images = []
+        for normal in _base_triples(d):
+            assert 0 < normal[0] <= normal[1] <= normal[2], normal
+            for i0, i1, i2, s1, s2 in _coset_maps(normal).values():
+                images.append((normal[i0], s1 * normal[i1], s2 * normal[i2]))
+        assert sorted(images) == [quad.normal for quad in solve_three_d2(d)], d
+
+
+def test_full_plane_referee_closed_under_cube_symmetries():
+    # The orbit walk is closed by construction; this checks the symmetry
+    # it rests on against the walk that does not use it.
+    assert_closed_under_cube_symmetries(full_plane_referee(15))
+
+
+def test_orbit_walk_builds_one_plane_per_orbit(monkeypatch):
+    # Call counts, not timings: coeff_matrix once per base plane and
+    # _apexes once per base plane and (m, n), at ell = 555 = 3 * 5 * 37.
+    from ztetra import tetra
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tetra, "coeff_matrix", counted("coeff_matrix", tetra.coeff_matrix))
+    monkeypatch.setattr(tetra, "_apexes", counted("_apexes", tetra._apexes))
+    assert count_t0(555) == 10920
+    divisors = [d for d in range(1, 556, 2) if 555 % d == 0]
+    bases = {d: len(list(_base_triples(d))) for d in divisors}
+    assert calls["coeff_matrix"] == sum(bases.values())
+    assert calls["_apexes"] == sum(bases[d] * len(omega(555 // d)) for d in divisors)
 
 
 def test_enumerate_t0_rejects_bad_ell():
