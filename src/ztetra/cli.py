@@ -178,11 +178,13 @@ def cmd_grid_count(args, out: Emitter) -> int:
     terms = None if args.bfile is None else read_bfile(args.bfile)
     scan = brute_tetrahedra_grid if args.shape == "tetra" else brute_triangles_grid
     what = "grid_tetrahedra" if args.shape == "tetra" else "grid_triangles"
-    value = len(scan(args.n))
-    out.emit({"kind": "count", "what": what, "n": args.n, "shape": args.shape, "value": value})
+    shapes = scan(args.n)
+    out.emit({"kind": "count", "what": what, "n": args.n, "shape": args.shape, "value": len(shapes)})
     if terms is None:
         return 0
-    counts = {n: (value if n == args.n else len(scan(n))) for n in range(args.n + 1)}
+    # The shapes in {0..n'}^3 are those of the one scan whose largest coordinate is at most n'.
+    tops = [max(map(max, shape)) for shape in shapes]
+    counts = {n: sum(top <= n for top in tops) for n in range(args.n + 1)}
     for report in compare_with_bfile(counts, terms):
         out.emit({
             "kind": "diff",
@@ -197,7 +199,8 @@ def cmd_grid_count(args, out: Emitter) -> int:
 
 
 def cmd_oracle_compare(args, out: Emitter) -> int:
-    report = compare(enumerate_t0(args.ell), brute_t0(args.ell))
+    brute = brute_t0(args.ell)  # first, so an ell above its cap is rejected before any work
+    report = compare(enumerate_t0(args.ell), brute)
     out.emit({
         "kind": "diff",
         "what": "t0_oracle",
@@ -313,7 +316,7 @@ def cmd_verify(args, out: Emitter) -> int:
                 _verify_record(rec)
             except ZtetraError as exc:
                 raise VerificationError(f"{path}:{lineno}: {exc}") from exc
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise DomainError(f"{path}:{lineno}: malformed record ({exc})") from exc
             checked += 1
     out.emit({"kind": "count", "what": "verified_records", "value": checked})
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid_count)
 
     p = sub.add_parser("oracle-compare", parents=[common],
-                       help="diff the parametrized origin enumeration against brute force")
+                       help="diff the parametrized origin enumeration against brute force (ell <= 100)")
     p.add_argument("--ell", type=checked_int, required=True)
     p.set_defaults(func=cmd_oracle_compare)
 

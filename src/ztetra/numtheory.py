@@ -8,15 +8,14 @@ Brent's cycle detection for what remains, which factors every accepted
 input (up to 2**63 - 1) in well under a second.  The Diophantine
 solvers read their solutions off that factorization in the Gaussian
 and Eisenstein integers instead of scanning for them: solve_two_q is
-the one (r, s) solver, cached per q, and solve_three_d2 factors one
-number per odd a <= d, so d is capped at THREE_D2_DMAX.
+the one (r, s) solver, and solve_three_d2 factors one number per odd
+a <= d, so d is capped at THREE_D2_DMAX.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count, permutations
 from math import gcd, isqrt
 
@@ -367,23 +366,10 @@ def solve_two_q(q: int) -> list[RSPair]:
     zeta(m, n) == q/2 one to one onto them.
     """
     check_range("q", q, 1)
-    return list(_two_q_pairs(q))
-
-
-@lru_cache(maxsize=256)
-def _two_q_pairs(q: int) -> tuple[RSPair, ...]:
-    """The pairs of solve_two_q(q) in order.
-
-    Cached because coeff_matrix asks for the same q once per quadruple
-    sharing a*a + b*b: an enumeration of T0(ell) asks about twelve
-    times per distinct q, and the quadruples of one a come together, so
-    256 entries keep nearly every repeat.  RSPair is frozen, so callers
-    may share the cached objects.
-    """
     if q % 2:
-        return ()
+        return []
     keyed = sorted((abs(n), n, 2 * m - n) for m, n in zeta_pairs(_prime_factors(q // 2)))
-    return tuple(RSPair(r, s, q) for _, r, s in keyed)
+    return [RSPair(r, s, q) for _, r, s in keyed]
 
 
 def solve_three_d2(d: int) -> list[NormalQuadruple]:

@@ -226,12 +226,11 @@ def verify_orthogonality(fns: FaceNormalSet) -> bool:
     """Exact check of the orthogonality identities of four face normals.
 
     With v_i = (a_i, b_i, c_i, d_i), the 4x4 matrix M with rows
-    v_i / (2*d_i) must be orthogonal from both sides.  The denominators
-    are multiplied out, so every test is an integer equality:
-    rows, v_i . v_j == 4*d_i*d_j if i == j else 0 (off the diagonal this
-    is the pairwise identity a_i*a_j + b_i*b_j + c_i*c_j + d_i*d_j == 0);
-    columns, with P the product of the d_t^2,
-    sum_t v_t[i]*v_t[j]*(P / d_t^2) == 4*P if i == j else 0.
+    v_i / (2*d_i) must be orthogonal.  The denominators are multiplied
+    out, so every test is an integer equality: v_i . v_j == 4*d_i*d_j
+    if i == j else 0 (off the diagonal this is the pairwise identity
+    a_i*a_j + b_i*b_j + c_i*c_j + d_i*d_j == 0).  Only rows are checked:
+    M is real and square (d_i >= 1), so M*M^T == I implies M^T*M == I.
     """
     rows = [(f.a, f.b, f.c, f.d) for f in fns.faces]
     for i, vi in enumerate(rows):
@@ -239,17 +238,6 @@ def verify_orthogonality(fns: FaceNormalSet) -> bool:
             vj = rows[j]
             want = 4 * vi[3] * vj[3] if i == j else 0
             if vi[0] * vj[0] + vi[1] * vj[1] + vi[2] * vj[2] + vi[3] * vj[3] != want:
-                return False
-    squares = [v[3] * v[3] for v in rows]
-    prod = squares[0] * squares[1] * squares[2] * squares[3]
-    w = [prod // s for s in squares]
-    cols = list(zip(*rows))
-    for i, ci in enumerate(cols):
-        for j in range(i, 4):
-            cj = cols[j]
-            want = 4 * prod if i == j else 0
-            if (w[0] * ci[0] * cj[0] + w[1] * ci[1] * cj[1]
-                    + w[2] * ci[2] * cj[2] + w[3] * ci[3] * cj[3]) != want:
                 return False
     return True
 

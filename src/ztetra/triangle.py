@@ -75,26 +75,37 @@ class CoeffMatrix:
 
 
 def _generators(quad: NormalQuadruple, rs: RSPair) -> tuple[Point, Point] | None:
-    """u and v for one (r, s) candidate, or None if a division leaves a remainder.
+    """u and v for one (r, s) candidate, or None if it is not admissible.
 
-    s*s + 3*r*r == 2*q forces r and s to the same parity, so (r + s) // 2
-    is exact.
+    With N = (a, b, c), X = r*a*c + d*b*s and Y = d*a*s - r*b*c, (r, s)
+    is admissible exactly when q | X; then u = (-X/q, Y/q, r) and
+    v = (d*u + N x u) / (2d) is u turned by 60 degrees in the plane.
+    No other division can leave a remainder:
+    - q | X implies q | Y, since X^2 + Y^2 == q^2 * (2d^2 - r^2); so
+      N . u == 0 and |u|^2 == 2d^2.
+    - 2d | d*u + N x u.  Mod 2: a, b, c are odd and u has exactly two
+      odd coordinates, so N x u == u.  Mod p^e exactly dividing d, N
+      primitive: w = N x u has N x w == -3d^2 * u == 0 mod p^2e, so
+      w == mu*N; u x w == 2d^2 * N == 0 and u x w == -mu^2 * N, so
+      p^e | mu, hence p^e | w.  If N = g*N' with N' primitive, apply
+      this to N' and d' = d/g.
+    _check_generators re-verifies the result anyway.
     """
     a, b, c, d, q = quad.a, quad.b, quad.c, quad.d, quad.q
     r, s = rs.r, rs.s
-    ux, uy = -(r * a * c + d * b * s), d * a * s - r * b * c
-    vx, vy = -(d * b * (s - 3 * r) + a * c * (r + s)), d * a * (s - 3 * r) - b * c * (r + s)
-    if ux % q or uy % q or vx % (2 * q) or vy % (2 * q):
+    x = r * a * c + d * b * s
+    if x % q:
         return None
-    return (ux // q, uy // q, r), (vx // (2 * q), vy // (2 * q), (r + s) // 2)
+    u = (-x // q, (d * a * s - r * b * c) // q, r)
+    return u, tuple((d * ui + wi) // (2 * d) for ui, wi in zip(u, cross(quad.normal, u)))
 
 
 def coeff_matrix(quad: NormalQuadruple) -> CoeffMatrix:
     """Generators for the plane of quad.
 
     Walks the solutions of s*s + 3*r*r == 2*q in the order of
-    solve_two_q and stops at the first (r, s) whose generators divide
-    out to integers; divisions are checked exactly.  A quadruple
+    solve_two_q and stops at the first admissible (r, s), the first
+    with q | X in the notation of _generators.  A quadruple
     admitting no such (r, s) raises ConstructionError (never observed
     for a valid primitive quadruple).
     """

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ztetra import DomainError, enumerate_t0
+from ztetra import DomainError, brute_tetrahedra_grid, brute_triangles_grid, enumerate_t0
 from ztetra.cli import Emitter, cmd_verify, main
 
 
@@ -192,6 +192,20 @@ def test_grid_count_with_bfile(capsys, tmp_path):
     assert diffs[1]["matched"] is False
 
 
+@pytest.mark.parametrize("shape, scan", [("tetra", brute_tetrahedra_grid),
+                                         ("triangle", brute_triangles_grid)])
+def test_grid_count_bfile_counts_every_smaller_grid(capsys, tmp_path, shape, scan):
+    # Every term is wrong, so each mismatch exposes our count for one n.
+    path = tmp_path / "b.txt"
+    path.write_text("".join(f"{i} 999999999\n" for i in range(6)))
+    code, out = run(capsys, "grid-count", "--n", "4", "--shape", shape, "--bfile", str(path))
+    assert code == 0
+    count, *diffs = records(out)
+    want = [[n, len(scan(n)), 999999999] for n in range(5)]
+    assert count["value"] == want[-1][1]
+    assert [(d["offset"], d["mismatches"], d["missing"]) for d in diffs] == [(0, want, []), (1, want, [])]
+
+
 def test_grid_count_rejects_csv_with_bfile_before_scanning(capsys, tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("0 0\n1 2\n2 18\n")
@@ -242,6 +256,20 @@ def test_oracle_compare_clean(capsys):
     assert code == 0
     (rec,) = records(out)
     assert rec["missing"] == [] and rec["extra"] == []
+
+
+def test_oracle_compare_rejects_a_large_ell_at_once(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "brute force (ell <= 100)" in " ".join(capsys.readouterr().out.split())
+    start = time.perf_counter()
+    code = main(["oracle-compare", "--ell", "1024"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert "ell must be at most 100" in captured.err
 
 
 def test_verify_round_trip(capsys, tmp_path):
@@ -303,6 +331,17 @@ def test_verify_rejects_bytes_that_are_not_utf8(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}:{lineno}: malformed record ('utf-8' codec")
+
+
+def test_verify_survives_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    deep = 5000 * "[" + "8" + 5000 * "]"
+    for line in (200000 * "[" + 200000 * "]", f'{{"kind":"pair","m":{deep},"n":3,"k":7}}'):
+        path.write_text(line + "\n")
+        assert main(["verify", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:1: malformed record (")
 
 
 def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):

@@ -295,7 +295,7 @@ def test_solve_two_q_known_values():
         solve_two_q(0)
     with pytest.raises(RangeError):
         solve_two_q(INT64_MAX + 1)
-    # Each call hands out a fresh list, so a caller cannot edit the cache.
+    # Each call hands out a fresh list, so editing one changes no later result.
     solve_two_q(2).clear()
     assert len(solve_two_q(2)) == 6
 

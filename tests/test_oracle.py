@@ -1,5 +1,7 @@
 """Brute-force referees: grid scans, sphere scans, b-file comparison."""
 
+import time
+
 import pytest
 
 from ztetra import (
@@ -15,7 +17,7 @@ from ztetra import (
     scan_tetrahedra,
     scan_triangles,
 )
-from ztetra.oracle import GRID_GUARD, _is_twice_square
+from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _is_twice_square
 
 
 def test_grid_counts_small():
@@ -85,6 +87,15 @@ def test_brute_t0_unit():
 def test_brute_t0_bound_validation():
     with pytest.raises(RangeError):
         brute_t0(0)
+
+
+def test_brute_t0_rejects_ell_above_its_cap_at_once():
+    assert BRUTE_T0_MAX == 100
+    start = time.perf_counter()
+    for ell in (BRUTE_T0_MAX + 1, 1024, 2**63 - 1):
+        with pytest.raises(RangeError, match="at most 100"):
+            brute_t0(ell)
+    assert time.perf_counter() - start < 1
 
 
 def test_compare_reports_differences():

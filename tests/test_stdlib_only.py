@@ -1,0 +1,22 @@
+"""ztetra imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import ztetra
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(Path(ztetra.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

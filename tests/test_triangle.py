@@ -14,7 +14,7 @@ from ztetra import (
     verify_equilateral,
     zeta,
 )
-from ztetra.triangle import cross, dot, sub
+from ztetra.triangle import _generators, cross, dot, sub
 
 
 def admissible(quad, rs):
@@ -75,6 +75,52 @@ def test_coeff_matrix_picks_first_admissible_pair():
             assert cm.rs == candidates[0], quad
             points = (cm.point_p(1, 0), cm.point_p(0, -1), cm.point_q(1, 0), cm.point_q(0, -1))
             assert points == paper_entries(quad, cm.rs), quad
+
+
+def four_test_generators(quad, rs):
+    """Referee for _generators: u and v from their own four-term
+    formulas, each division tested for a remainder separately."""
+    a, b, c, d, q = quad.a, quad.b, quad.c, quad.d, quad.q
+    r, s = rs.r, rs.s
+    ux, uy = -(r * a * c + d * b * s), d * a * s - r * b * c
+    vx, vy = -(d * b * (s - 3 * r) + a * c * (r + s)), d * a * (s - 3 * r) - b * c * (r + s)
+    if ux % q or uy % q or vx % (2 * q) or vy % (2 * q):
+        return None
+    return (ux // q, uy // q, r), (vx // (2 * q), vy // (2 * q), (r + s) // 2)
+
+
+def assert_generators_match_referee(quad):
+    """Every candidate of quad gets the referee's verdict and (u, v),
+    and coeff_matrix picks the referee's first admissible one; returns
+    the number of candidates."""
+    first = None
+    candidates = solve_two_q(quad.q)
+    for rs in candidates:
+        want = four_test_generators(quad, rs)
+        assert _generators(quad, rs) == want, (quad, rs)
+        if first is None and want is not None:
+            first = (rs, *want)
+    cm = coeff_matrix(quad)
+    assert (cm.rs, cm.u, cm.v) == first, quad
+    return len(candidates)
+
+
+def test_one_divisibility_test_matches_the_four_test_referee():
+    quads = candidates = 0
+    for d in range(1, 102, 2):
+        for quad in solve_three_d2(d):
+            candidates += assert_generators_match_referee(quad)
+            quads += 1
+    assert (quads, candidates) == (10660, 173400)
+
+
+def test_one_divisibility_test_on_non_primitive_quadruples():
+    # gcd(a, b) = 11 makes q = 242 share a factor with the normal.
+    assert_generators_match_referee(NormalQuadruple(11, 11, 1, 9))
+    for g in (3, 5, 9, 15):
+        for d in (1, 3, 5, 7):
+            for quad in solve_three_d2(d):
+                assert_generators_match_referee(NormalQuadruple(g * quad.a, g * quad.b, g * quad.c, g * d))
 
 
 def test_generators_lie_in_the_plane():
