@@ -43,13 +43,13 @@ from .triangle import coeff_matrix, triangle_points, verify_equilateral
 class Emitter:
     """Writes records in the selected format.
 
-    CSV is only defined for count records; emitting anything else in
-    csv mode is a usage error.
+    CSV is only defined for count records, and a run emits at most one,
+    so each prints as a header of its sorted field names and one row;
+    emitting anything else in csv mode is a usage error.
     """
 
     def __init__(self, fmt: str) -> None:
         self.fmt = fmt
-        self._csv_fields: list[str] | None = None
 
     def emit(self, record: dict) -> None:
         if self.fmt == "jsonl":
@@ -57,10 +57,9 @@ class Emitter:
             return
         if record.get("kind") != "count":
             raise UsageError("--format csv supports count records only")
-        if self._csv_fields is None:
-            self._csv_fields = sorted(record)
-            print(",".join(self._csv_fields))
-        print(",".join(str(record.get(f, "")) for f in self._csv_fields))
+        fields = sorted(record)
+        print(",".join(fields))
+        print(",".join(str(record[f]) for f in fields))
 
 
 def checked_int(text: str) -> int:
@@ -285,10 +284,14 @@ def _verify_record(rec: dict) -> None:
             raise VerificationError(f"zeta({rec['m']}, {rec['n']}) != {rec['k']}^2")
     elif kind == "triple":
         _verify_triple(rec)
-    elif kind == "diff":
-        if type(rec.get("matched", False)) is not bool:
+    elif kind in ("count", "diff"):
+        if type(rec["what"]) is not str:
+            raise TypeError(f"what must be a string, got {rec['what']!r}")
+        if kind == "count":
+            _check_ints("value", rec["value"], ())
+        elif type(rec.get("matched", False)) is not bool:
             raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
-    elif kind != "count":
+    else:
         raise DomainError(f"unknown record kind: {kind!r}")
 
 

@@ -3,12 +3,16 @@
 Nothing here knows about the coefficient machinery: candidates come
 from raw distance bookkeeping over explicit point sets and every hit is
 confirmed by the verify functions, so these scans are a fair referee
-for enumerate_t0 and the grid counting paths.  Guards keep the cubic
-scans at desk scale unless explicitly overridden.
+for enumerate_t0 and the grid counting paths.  One clique search
+serves every scan, and it stores only the pairs at the squared
+distances its caller reads: all of them for triangles, 2*k*k for
+tetrahedra, 2*ell*ell on the sphere of brute_t0.  Guards keep the
+cubic scans at desk scale unless explicitly overridden.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
@@ -26,34 +30,31 @@ Triangle = tuple[Point, Point, Point]
 Tetrahedron = tuple[Point, Point, Point, Point]
 
 
-def _distance_buckets(points: list[Point]) -> dict[int, list[tuple[int, int]]]:
-    """Index pairs i < j by their squared distance."""
-    buckets: dict[int, list[tuple[int, int]]] = {}
+def _cliques(points: list[Point], size: int, keep) -> Iterator[tuple[int, ...]]:
+    """Yield each 3-clique (size 3) or 4-clique (size 4) of each
+    equal-distance graph on points once, as increasing indices.
+
+    A graph is stored as the later neighbours of each point, and only
+    for the squared distances keep accepts; keep is asked once per
+    distance, and None keeps them all.
+    """
+    graphs: dict[int, dict[int, set[int]] | None] = {}
     for i, pi in enumerate(points):
         for j in range(i + 1, len(points)):
-            buckets.setdefault(dist_sq(pi, points[j]), []).append((i, j))
-    return buckets
-
-
-def _cliques(pairs: list[tuple[int, int]], want_tetra: bool) -> tuple[list, list]:
-    """3-cliques (and optionally 4-cliques) of one equal-distance graph."""
-    adj: dict[int, set[int]] = {}
-    for i, j in pairs:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    tris = []
-    tets = []
-    for i, j in pairs:
-        common = adj[i] & adj[j]
-        for t in common:
-            if t <= j:
-                continue
-            tris.append((i, j, t))
-            if want_tetra:
-                for u in common & adj[t]:
-                    if u > t:
-                        tets.append((i, j, t, u))
-    return tris, tets
+            s2 = dist_sq(pi, points[j])
+            if s2 not in graphs:
+                graphs[s2] = {} if keep is None or keep(s2) else None
+            if graphs[s2] is not None:
+                graphs[s2].setdefault(i, set()).add(j)
+    for graph in filter(None, graphs.values()):
+        for i, after_i in graph.items():
+            for j in after_i:
+                common = after_i.intersection(graph.get(j, ()))
+                for t in common:
+                    if size == 3:
+                        yield i, j, t
+                    else:
+                        yield from ((i, j, t, u) for u in common.intersection(graph.get(t, ())))
 
 
 def _is_twice_square(s2: int) -> bool:
@@ -73,32 +74,28 @@ def scan_triangles(points) -> list[Triangle]:
     """
     pts = sorted({tuple(p) for p in points})
     out: list[Triangle] = []
-    for pairs in _distance_buckets(pts).values():
-        for i, j, t in _cliques(pairs, want_tetra=False)[0]:
-            tri = (pts[i], pts[j], pts[t])
-            verify_equilateral(sub(tri[1], tri[0]), sub(tri[2], tri[0]))
-            out.append(tri)
+    for i, j, t in _cliques(pts, 3, None):
+        tri = (pts[i], pts[j], pts[t])
+        verify_equilateral(sub(tri[1], tri[0]), sub(tri[2], tri[0]))
+        out.append(tri)
     return sorted(out)
 
 
-def scan_tetrahedra(points, *, prune: bool = True) -> list[Tetrahedron]:
+def scan_tetrahedra(points) -> list[Tetrahedron]:
     """All regular tetrahedra with vertices in the given point set.
 
-    With prune=True only squared distances of the form 2*k*k are
-    examined (no other squared side occurs; the unpruned scan is kept
-    around so tests can observe that fact rather than assume it).
-    Every candidate 4-clique is confirmed with verify_regular.  Output
-    is sorted.
+    Candidates are 4-cliques of the equal-distance graphs, and only
+    pairs at squared distances 2*k*k are stored: a lattice tetrahedron
+    has no other squared side (the tests check this against a scan of
+    every 4-point subset at every distance).  Every candidate is
+    confirmed with verify_regular.  Output is sorted.
     """
     pts = sorted({tuple(p) for p in points})
     out: list[Tetrahedron] = []
-    for s2, pairs in _distance_buckets(pts).items():
-        if prune and not _is_twice_square(s2):
-            continue
-        for i, j, t, u in _cliques(pairs, want_tetra=True)[1]:
-            tet = (pts[i], pts[j], pts[t], pts[u])
-            verify_regular(*tet)
-            out.append(tet)
+    for i, j, t, u in _cliques(pts, 4, _is_twice_square):
+        tet = (pts[i], pts[j], pts[t], pts[u])
+        verify_regular(*tet)
+        out.append(tet)
     return sorted(out)
 
 
@@ -154,9 +151,7 @@ def brute_t0(ell: int) -> set[LatticeTetrahedron]:
         for z in range(-reach, reach + 1)
         if x * x + y * y + z * z == target
     ]
-    pairs = [(i, j) for i, pi in enumerate(sphere) for j in range(i + 1, len(sphere))
-             if dist_sq(pi, sphere[j]) == target]
-    tris = _cliques(pairs, want_tetra=False)[0]
+    tris = _cliques(sphere, 3, lambda s2: s2 == target)
     return {LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t])) for i, j, t in tris}
 
 

@@ -360,7 +360,11 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
                 '{"kind":"diff","what":"t0_oracle","ell":2.0,"missing":[],"extra":[]}',
                 '{"kind":"diff","what":"bfile","offset":true,"matched":true}',
                 '{"kind":"diff","what":"bfile","offset":0,"matched":1}',
-                '{"kind":"diff","what":"bfile","offset":0,"matched":"true"}'):
+                '{"kind":"diff","what":"bfile","offset":0,"matched":"true"}',
+                '{"kind":"count"}',
+                '{"kind":"diff"}',
+                '{"kind":"count","what":7,"value":1}',
+                '{"kind":"count","what":"verified_records"}'):
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
         captured = capsys.readouterr()

@@ -1,6 +1,8 @@
 """Brute-force referees: grid scans, sphere scans, b-file comparison."""
 
+import hashlib
 import time
+from itertools import combinations
 
 import pytest
 
@@ -39,18 +41,53 @@ def test_grid_counts_invariant_under_reflection():
     assert len(scan_tetrahedra(mirrored)) == len(brute_tetrahedra_grid(n))
 
 
+def _equal_side_quadruples(pts):
+    """Every 4-point subset of pts whose six squared distances are equal,
+    at every distance, in the sorted order of the scans.  Four distinct
+    points with six equal sides are a regular tetrahedron."""
+
+    def d2(p, q):
+        return sum((a - b) ** 2 for a, b in zip(p, q))
+
+    return [(a, b, c, d) for a, b, c, d in combinations(sorted(set(pts)), 4)
+            if d2(a, b) == d2(a, c) == d2(a, d) == d2(b, c) == d2(b, d) == d2(c, d)]
+
+
 def test_pruned_scan_loses_nothing():
     for n in (1, 2, 3):
         pts = [(x, y, z) for x in range(n + 1) for y in range(n + 1) for z in range(n + 1)]
-        assert scan_tetrahedra(pts, prune=False) == scan_tetrahedra(pts, prune=True)
+        assert _equal_side_quadruples(pts) == scan_tetrahedra(pts)
 
 
 def test_every_tetrahedron_side_is_twice_a_square():
     pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
     from ztetra.triangle import dist_sq
 
-    for tet in scan_tetrahedra(pts, prune=False):
+    for tet in _equal_side_quadruples(pts):
         assert _is_twice_square(dist_sq(tet[0], tet[1]))
+
+
+# SHA-256 of repr() of each referee's output: a refactor of the scans
+# that changes one shape or the order of the output fails here.
+_MIRRORED = [(3 - x, z, y) for x in range(4) for y in range(4) for z in range(4)]
+REFEREE_DIGESTS = [
+    ("brute_tetrahedra_grid(8)", lambda: brute_tetrahedra_grid(8, force=True),
+     "9431faa37f1b564bbd63359074ea6832e891c55e40bb2fd1f75987e40e3f290f"),
+    ("brute_triangles_grid(6)", lambda: brute_triangles_grid(6),
+     "fbca8add3be604272cde8e0103b5a2c050ff943a907bace4d66a81d72a7fa4c6"),
+    ("brute_t0(45)", lambda: [t.vertices for t in sorted(brute_t0(45))],
+     "e68461e5b5058a82b63a2e608494426cfc40bd59337e6a5329abc4e394fa175a"),
+    ("scan_tetrahedra(mirrored 3)", lambda: scan_tetrahedra(_MIRRORED),
+     "37e9303342d5bcd8c0b482b69b3da03767313e2814a4b66b123ee34930cf3bdc"),
+    ("scan_triangles(mirrored 3)", lambda: scan_triangles(_MIRRORED),
+     "53b9b9c1747b3ae88cd1320e1317b37d951d92f4f9f3b6697b4c55bba9724be3"),
+]
+
+
+@pytest.mark.parametrize("call, digest", [(c, d) for _, c, d in REFEREE_DIGESTS],
+                         ids=[name for name, _, _ in REFEREE_DIGESTS])
+def test_referee_output_matches_the_recorded_digest(call, digest):
+    assert hashlib.sha256(repr(call()).encode()).hexdigest() == digest
 
 
 def test_triangle_sides_are_not_restricted_to_twice_squares():
