@@ -172,8 +172,6 @@ def cmd_enumerate_t0(args, out: Emitter) -> int:
 
 
 def cmd_grid_count(args, out: Emitter) -> int:
-    if args.bfile is not None and args.format == "csv":
-        raise UsageError("--bfile emits diff records, which --format csv cannot carry")
     terms = None if args.bfile is None else read_bfile(args.bfile)
     scan = brute_tetrahedra_grid if args.shape == "tetra" else brute_triangles_grid
     what = "grid_tetrahedra" if args.shape == "tetra" else "grid_triangles"
@@ -395,11 +393,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_format(args) -> None:
+    """Reject --format csv before any work unless the run emits count records only."""
+    counts_only = (args.func is cmd_verify
+                   or args.func is cmd_enumerate_t0 and args.count_only
+                   or args.func is cmd_grid_count and args.bfile is None)
+    if args.format == "csv" and not counts_only:
+        raise UsageError("--format csv supports count records only: enumerate-t0 --count-only, "
+                         "grid-count without --bfile, or verify")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = Emitter(args.format)
     try:
+        _check_format(args)
         return args.func(args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ for enumerate_t0 and the grid counting paths.  One clique search
 serves every scan, and it stores only the pairs at the squared
 distances its caller reads: all of them for triangles, 2*k*k for
 tetrahedra, 2*ell*ell on the sphere of brute_t0.  Guards keep the
-cubic scans at desk scale unless explicitly overridden.
+scans at desk scale unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .tetra import LatticeTetrahedron, verify_regular
 from .triangle import ORIGIN, Point, dist_sq, sub, verify_equilateral
 
 GRID_GUARD = 6
-# brute_t0 takes ell^3 time: 0.76 s at ell = 64, 3.0 s at 100, 6.2 s at 128 (2-vCPU Xeon VM).
+# brute_t0 finds its sphere in about ell^2 steps, then pairs up the sphere's
+# points: 0.74-0.90 s at ell = 91, the slowest ell up to 100 (2-vCPU VM).
 BRUTE_T0_MAX = 100
 
 Triangle = tuple[Point, Point, Point]
@@ -130,27 +131,35 @@ def brute_tetrahedra_grid(n: int, *, force: bool = False) -> list[Tetrahedron]:
     return scan_tetrahedra(_grid_points(n))
 
 
+def _sphere(r2: int) -> list[Point]:
+    """The lattice points p with |p|^2 = r2 in sorted order, found with one
+    isqrt per (x, y): about r2 steps instead of the cube's r2^1.5."""
+    sphere: list[Point] = []
+    for x in range(-isqrt(r2), isqrt(r2) + 1):
+        y_reach = isqrt(r2 - x * x)
+        for y in range(-y_reach, y_reach + 1):
+            rest = r2 - x * x - y * y
+            z = isqrt(rest)
+            if z * z == rest:
+                sphere.extend([(x, y, -z), (x, y, z)] if z else [(x, y, 0)])
+    return sphere
+
+
 def brute_t0(ell: int) -> set[LatticeTetrahedron]:
     """Regular tetrahedra with a vertex at the origin and squared side
     2*ell*ell, found by raw sphere scanning.
 
     The other three vertices lie on the sphere of squared radius
     2*ell*ell and are pairwise at that same squared distance, so they
-    are the 3-cliques of that distance graph on the sphere.  ell above
-    BRUTE_T0_MAX raises RangeError before any scan.
+    are the 3-cliques of that distance graph on the sphere.  Finding
+    the sphere takes about ell^2 steps, the pair scan the square of
+    its size.  ell above BRUTE_T0_MAX raises RangeError before any scan.
     """
     check_range("ell", ell, 1)
     if ell > BRUTE_T0_MAX:
         raise RangeError(f"ell must be at most {BRUTE_T0_MAX} for the brute-force scan, got {ell}")
     target = 2 * ell * ell
-    reach = isqrt(target)
-    sphere = [
-        (x, y, z)
-        for x in range(-reach, reach + 1)
-        for y in range(-reach, reach + 1)
-        for z in range(-reach, reach + 1)
-        if x * x + y * y + z * z == target
-    ]
+    sphere = _sphere(target)
     tris = _cliques(sphere, 3, lambda s2: s2 == target)
     return {LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t])) for i, j, t in tris}
 

@@ -156,6 +156,18 @@ def test_csv_rejects_non_count_records(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("oracle-compare", "--ell", "100"), ("enumerate-t0", "--ell", "9999")])
+def test_csv_rejects_non_count_runs_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main([*argv, "--format", "csv"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert "--format csv supports count records only" in captured.err
+
+
 def test_grid_count(capsys):
     code, out = run(capsys, "grid-count", "--n", "1", "--shape", "tetra")
     assert code == 0

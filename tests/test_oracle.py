@@ -3,6 +3,7 @@
 import hashlib
 import time
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -19,7 +20,7 @@ from ztetra import (
     scan_tetrahedra,
     scan_triangles,
 )
-from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _is_twice_square
+from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _is_twice_square, _sphere
 
 
 def test_grid_counts_small():
@@ -77,6 +78,8 @@ REFEREE_DIGESTS = [
      "fbca8add3be604272cde8e0103b5a2c050ff943a907bace4d66a81d72a7fa4c6"),
     ("brute_t0(45)", lambda: [t.vertices for t in sorted(brute_t0(45))],
      "e68461e5b5058a82b63a2e608494426cfc40bd59337e6a5329abc4e394fa175a"),
+    ("brute_t0(91)", lambda: [t.vertices for t in sorted(brute_t0(91))],
+     "0f8c81609f78d89a88e4b1793c3fc1ec1e46e89c01b3426fda440477f8d76202"),
     ("scan_tetrahedra(mirrored 3)", lambda: scan_tetrahedra(_MIRRORED),
      "37e9303342d5bcd8c0b482b69b3da03767313e2814a4b66b123ee34930cf3bdc"),
     ("scan_triangles(mirrored 3)", lambda: scan_triangles(_MIRRORED),
@@ -113,6 +116,22 @@ def test_scans_are_deterministic():
     pts = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
     assert scan_triangles(pts) == scan_triangles(pts) == scan_triangles(reversed(pts))
     assert scan_tetrahedra(pts) == scan_tetrahedra(pts) == scan_tetrahedra(reversed(pts))
+
+
+def _cube_sphere(r2):
+    """The points of the enclosing cube with |p|^2 = r2, in the cube's order."""
+    reach = isqrt(r2)
+    return [(x, y, z)
+            for x in range(-reach, reach + 1)
+            for y in range(-reach, reach + 1)
+            for z in range(-reach, reach + 1)
+            if x * x + y * y + z * z == r2]
+
+
+def test_sphere_matches_the_cube_scan():
+    # range(201) holds 2*ell^2 for ell <= 10, r2 = 0 and points with z = 0.
+    for r2 in [*range(201), *(2 * ell * ell for ell in range(11, 25))]:
+        assert _sphere(r2) == _cube_sphere(r2), r2
 
 
 def test_brute_t0_unit():

@@ -169,7 +169,7 @@ def test_canonical_faces_lose_no_tetrahedron():
 
 
 def test_enumerate_t0_matches_brute_force():
-    for ell in range(1, 31):
+    for ell in range(1, 61):
         assert enumerate_t0(ell) == brute_t0(ell), ell
 
 
