@@ -37,7 +37,7 @@ from .tetra import (
     verify_orthogonality,
     verify_regular,
 )
-from .triangle import coeff_matrix, triangle_points, verify_equilateral
+from .triangle import CoeffMatrix, coeff_matrix, triangle_points, verify_equilateral
 
 
 class Emitter:
@@ -95,7 +95,7 @@ def _triple_record(t: EisensteinTriple) -> dict:
 def _tetra_record(tet: LatticeTetrahedron, provenance: dict) -> dict:
     return {
         "kind": "tetrahedron",
-        "vertices": [list(v) for v in tet.vertices],
+        "vertices": tet.vertices,
         "side_sq": tet.side_sq,
         "ell": tet.ell,
         "provenance": provenance,
@@ -128,31 +128,23 @@ def cmd_triples(args, out: Emitter) -> int:
     return 0
 
 
+def _plane(args) -> tuple[CoeffMatrix, dict]:
+    """The generators of the plane --quad and the provenance of its records."""
+    cm = coeff_matrix(NormalQuadruple(*args.quad))
+    return cm, {"quad": args.quad, "r": cm.rs.r, "s": cm.rs.s, "m": args.m, "n": args.n}
+
+
 def cmd_triangles(args, out: Emitter) -> int:
-    quad = NormalQuadruple(*args.quad)
-    cm = coeff_matrix(quad)
+    cm, provenance = _plane(args)
     tri = triangle_points(cm, args.m, args.n)
-    out.emit({
-        "kind": "triangle",
-        "p": list(tri.p),
-        "q": list(tri.q),
-        "side_sq": tri.side_sq,
-        "provenance": {"quad": list(args.quad), "r": cm.rs.r, "s": cm.rs.s, "m": args.m, "n": args.n},
-    })
+    out.emit({"kind": "triangle", "p": tri.p, "q": tri.q, "side_sq": tri.side_sq, "provenance": provenance})
     return 0
 
 
 def cmd_complete(args, out: Emitter) -> int:
-    cm = coeff_matrix(NormalQuadruple(*args.quad))
+    cm, plane = _plane(args)
     for sign, tet in signed_completions(cm, args.m, args.n):
-        provenance = {
-            "quad": list(args.quad),
-            "r": cm.rs.r,
-            "s": cm.rs.s,
-            "m": args.m,
-            "n": args.n,
-            "sign": sign,
-        }
+        provenance = {**plane, "sign": sign}
         out.emit(_tetra_record(tet, provenance))
         if args.with_normals:
             out.emit(_normal_set_record(face_normals(tet), provenance))
@@ -189,8 +181,8 @@ def cmd_grid_count(args, out: Emitter) -> int:
             "shape": args.shape,
             "offset": report.offset,
             "matched": report.matched,
-            "mismatches": [list(t) for t in report.mismatches],
-            "missing": list(report.missing),
+            "mismatches": report.mismatches,
+            "missing": report.missing,
         })
     return 0
 
@@ -202,11 +194,18 @@ def cmd_oracle_compare(args, out: Emitter) -> int:
         "kind": "diff",
         "what": "t0_oracle",
         "ell": args.ell,
-        "missing": [[list(v) for v in t.vertices] for t in report.missing],
-        "extra": [[list(v) for v in t.vertices] for t in report.extra],
+        "missing": [t.vertices for t in report.missing],
+        "extra": [t.vertices for t in report.extra],
     })
     return 0 if report.is_empty() else 1
 
+
+def _not_an_integer(text: str):
+    raise ValueError(f"not an integer: {text}")
+
+
+# No producer emits a float, NaN or Infinity, so verify's decoder rejects them anywhere.
+_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
 # Numeric fields of each record kind verify accepts, with their list shapes:
 # () is one integer, (3,) a list of three, (4, 3) four lists of three.
@@ -223,8 +222,8 @@ _INT_FIELDS = {
 
 
 def _check_ints(name: str, value, shape: tuple[int, ...]) -> None:
-    """Require value to be a JSON integer (not a float or a boolean), or
-    nested lists of them with the given lengths; raises TypeError."""
+    """Require value to be an integer (not a boolean), or nested lists
+    of them with the given lengths; raises TypeError."""
     items = [value]
     for size in shape:
         for item in items:
@@ -256,15 +255,16 @@ def _verify_record(rec: dict) -> None:
     for name, shape in _INT_FIELDS.get(kind, {}).items():
         if name in rec:
             _check_ints(name, rec[name], shape)
+    if kind in ("tetrahedron", "count", "diff") and rec.get("ell", 1) < 1:
+        raise ValueError(f"ell must be at least 1, got {rec['ell']}")
     if kind == "tetrahedron":
-        verts = [tuple(v) for v in rec["vertices"]]
-        side_sq = verify_regular(*verts)
+        side_sq = verify_regular(*rec["vertices"])
         if side_sq != rec["side_sq"]:
             raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
         if "ell" in rec and 2 * rec["ell"] ** 2 != side_sq:
             raise VerificationError(f"recorded ell {rec['ell']} does not square to {side_sq}")
     elif kind == "triangle":
-        side_sq = verify_equilateral(tuple(rec["p"]), tuple(rec["q"]))
+        side_sq = verify_equilateral(rec["p"], rec["q"])
         if side_sq != rec["side_sq"]:
             raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
     elif kind == "quadruple":
@@ -287,8 +287,13 @@ def _verify_record(rec: dict) -> None:
             raise TypeError(f"what must be a string, got {rec['what']!r}")
         if kind == "count":
             _check_ints("value", rec["value"], ())
-        elif type(rec.get("matched", False)) is not bool:
-            raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
+            if min(rec["value"], rec.get("n", 0)) < 0:
+                raise ValueError(f"count value {rec['value']} and n {rec.get('n')} must be at least 0")
+        else:
+            if type(rec.get("matched", False)) is not bool:
+                raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
+            if rec.get("offset", 0) not in (0, 1):
+                raise ValueError(f"offset must be 0 or 1, got {rec['offset']}")
     else:
         raise DomainError(f"unknown record kind: {kind!r}")
 
@@ -311,7 +316,7 @@ def cmd_verify(args, out: Emitter) -> int:
                 line = raw.decode().strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                rec = _DECODER.decode(line)
                 if not isinstance(rec, dict):
                     raise DomainError("record is not an object")
                 _verify_record(rec)
@@ -350,18 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=checked_int, required=True)
     p.set_defaults(func=cmd_triples)
 
-    p = sub.add_parser("triangles", parents=[common],
+    plane = argparse.ArgumentParser(add_help=False, parents=[common])
+    plane.add_argument("--quad", type=quad_arg, required=True, metavar="a,b,c,d")
+    plane.add_argument("--m", type=checked_int, required=True)
+    plane.add_argument("--n", type=checked_int, required=True)
+
+    p = sub.add_parser("triangles", parents=[plane],
                        help="the equilateral triangle of a plane and parameter pair")
-    p.add_argument("--quad", type=quad_arg, required=True, metavar="a,b,c,d")
-    p.add_argument("--m", type=checked_int, required=True)
-    p.add_argument("--n", type=checked_int, required=True)
     p.set_defaults(func=cmd_triangles)
 
-    p = sub.add_parser("complete", parents=[common],
+    p = sub.add_parser("complete", parents=[plane],
                        help="extend a triangle to its regular tetrahedra")
-    p.add_argument("--quad", type=quad_arg, required=True, metavar="a,b,c,d")
-    p.add_argument("--m", type=checked_int, required=True)
-    p.add_argument("--n", type=checked_int, required=True)
     p.add_argument("--with-normals", action="store_true",
                    help="also emit the face normal set of each tetrahedron")
     p.set_defaults(func=cmd_complete)

@@ -43,17 +43,15 @@ def tau_orbit(m: int, n: int) -> set[Pair]:
 
     The group has order 12, generated by the rotation
     (m, n) -> (m - n, m) and the reflection (m, n) -> (n, m); every
-    element preserves zeta, so orbits stay inside one level set.
+    element preserves zeta, so orbits stay inside one level set.  The
+    orbit is the six rotations of (m, n) and the six of (n, m).
     """
-    seen: set[Pair] = {(m, n)}
-    todo: list[Pair] = [(m, n)]
-    while todo:
-        a, b = todo.pop()
-        for nxt in ((a - b, a), (b, a)):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return seen
+    orbit: set[Pair] = set()
+    for a, b in ((m, n), (n, m)):
+        for _ in range(6):
+            orbit.add((a, b))
+            a, b = a - b, a
+    return orbit
 
 
 @dataclass(frozen=True)

@@ -305,8 +305,8 @@ def _norm_elements(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int
             return []
         else:
             choices = [(p ** (e // 2), 0)]
-        elements = [(a * c - b * d, a * d + b * c + t * b * d) for a, b in elements for c, d in choices]
-    return [(a * c - b * d, a * d + b * c + t * b * d) for a, b in _UNITS[t] for c, d in elements]
+        elements = [_mul(x, y, t) for x in elements for y in choices]
+    return [_mul(unit, x, t) for unit in _UNITS[t] for x in elements]
 
 
 def _mul(u: tuple[int, int], v: tuple[int, int], t: int) -> tuple[int, int]:

@@ -219,13 +219,12 @@ def read_bfile(path) -> list[tuple[int, int]]:
 class OffsetReport:
     """Comparison of our counts against b-file terms under one index offset.
 
-    Offset o matches our grid size n against file index n + o.  compared
-    holds (n, ours, theirs); missing lists grid sizes the file does not
-    cover at this offset.
+    Offset o matches our grid size n against file index n + o.
+    mismatches holds (n, ours, theirs) where the two differ; missing
+    lists grid sizes the file does not cover at this offset.
     """
 
     offset: int
-    compared: tuple[tuple[int, int, int], ...]
     mismatches: tuple[tuple[int, int, int], ...]
     missing: tuple[int, ...]
 
@@ -244,17 +243,13 @@ def compare_with_bfile(counts: dict[int, int], terms: list[tuple[int, int]]) -> 
     table = dict(terms)
     reports = []
     for offset in (0, 1):
-        compared = []
         mismatches = []
         missing = []
         for n in sorted(counts):
             theirs = table.get(n + offset)
             if theirs is None:
                 missing.append(n)
-                continue
-            compared.append((n, counts[n], theirs))
-            if counts[n] != theirs:
+            elif counts[n] != theirs:
                 mismatches.append((n, counts[n], theirs))
-        reports.append(
-            OffsetReport(offset, tuple(compared), tuple(mismatches), tuple(missing)))
+        reports.append(OffsetReport(offset, tuple(mismatches), tuple(missing)))
     return tuple(reports)

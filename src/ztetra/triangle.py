@@ -125,13 +125,10 @@ def _check_generators(cm: CoeffMatrix) -> None:
     for pt in (cm.u, cm.v):
         if dot(normal, pt) != 0:
             raise ConstructionError(f"generator point {pt} is off the plane of {normal}")
-    d = cm.quad.d
     try:
-        side_sq = verify_equilateral(cm.point_p(1, 0), cm.point_q(1, 0))
+        triangle_points(cm, 1, 0)
     except VerificationError as exc:
         raise ConstructionError(f"base triangle of {normal} is not equilateral: {exc}") from exc
-    if side_sq != 2 * d * d:
-        raise ConstructionError(f"base triangle of {normal} has squared side {side_sq}, expected {2 * d * d}")
 
 
 def triangle_points(cm: CoeffMatrix, m: int, n: int) -> LatticeTriangle:

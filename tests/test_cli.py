@@ -376,7 +376,16 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
                 '{"kind":"count"}',
                 '{"kind":"diff"}',
                 '{"kind":"count","what":7,"value":1}',
-                '{"kind":"count","what":"verified_records"}'):
+                '{"kind":"count","what":"verified_records"}',
+                '{"kind":"count","what":"tetrahedra_t0","value":-5,"ell":-2}',
+                '{"kind":"count","what":"tetrahedra_t0","value":40,"ell":0}',
+                '{"kind":"count","what":"tetrahedra_t0","value":-5,"ell":3}',
+                '{"kind":"count","what":"grid_tetrahedra","n":-1,"shape":"tetra","value":0}',
+                '{"kind":"diff","what":"t0_oracle","ell":0,"missing":[],"extra":[]}',
+                '{"kind":"diff","what":"bfile","offset":2,"matched":true}',
+                '{"kind":"diff","what":"bfile","offset":-1,"matched":true}',
+                '{"kind":"diff","what":"bfile","offset":0,"matched":false,"mismatches":[[1,1.5,2]],"missing":[]}',
+                '{"kind":"diff","what":"bfile","offset":0,"matched":false,"mismatches":[],"missing":[NaN]}'):
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
         captured = capsys.readouterr()
@@ -434,7 +443,12 @@ def test_verify_rejects_non_integer_fields(capsys, tmp_path):
                 '{"kind":"quadruple","a":1,"b":1,"c":1,"d":1,"q":2.0}',
                 '{"kind":"pair","m":8,"n":3,"k":7.0}',
                 '{"kind":"triple","m":8,"n":3,"k":7,"u":1,"v":3,"form":1.0}',
-                '{"kind":"tetrahedron","vertices":[[0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2}'):
+                '{"kind":"tetrahedron","vertices":[[0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2}',
+                '{"kind":"tetrahedron","vertices":[[0,0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2,"ell":-1}',
+                '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2,"provenance":{"m":1.5}}',
+                '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2,"provenance":{"m":Infinity}}',
+                '{"kind":"pair","m":8,"n":3,"k":7,"x":-Infinity}',
+                '{"kind":"pair","m":8,"n":3,"k":NaN}'):
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
         captured = capsys.readouterr()

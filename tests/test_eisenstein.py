@@ -109,6 +109,24 @@ def test_tau_orbit_properties():
                 assert zeta(a, b) == level
 
 
+def test_tau_orbit_matches_a_search_of_the_group():
+    # Closure of {(m, n)} under the two generators, the search tau_orbit
+    # used before it listed the twelve images directly.
+    def search(m, n):
+        seen, todo = {(m, n)}, [(m, n)]
+        while todo:
+            a, b = todo.pop()
+            for nxt in ((a - b, a), (b, a)):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    for m in range(-40, 41):
+        for n in range(-40, 41):
+            assert tau_orbit(m, n) == search(m, n), (m, n)
+
+
 def test_omega_closed_under_symmetries():
     for k in range(1, 21):
         pairs = omega(k)

@@ -51,3 +51,34 @@ def test_stdout_matches_the_golden_digest(command, digest):
         code = main(command.split())
     assert code == 0, command
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
+
+
+# Diff records carry lists the commands above never emit: b-file mismatches
+# and missing grid sizes at both offsets, and the missing tetrahedra of an
+# oracle comparison.  Each is pinned the same way.
+BFILE = "0 0\n1 5\n2 18\n"  # n = 1 mismatches at offset 0; n = 3 is missing there
+
+
+def _stdout_digest(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_bfile_diff_records_match_the_golden_digest(tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text(BFILE)
+    code, digest = _stdout_digest(["grid-count", "--n", "3", "--shape", "tetra", "--bfile", str(path)])
+    assert code == 0
+    assert digest == "f3a3d6847504b7d7fa99dbe122c946ceb2df3b7e21b6a0d3f853703ee72260a4"
+
+
+def test_oracle_diff_record_matches_the_golden_digest(monkeypatch):
+    from ztetra import cli
+
+    full = cli.enumerate_t0
+    monkeypatch.setattr(cli, "enumerate_t0", lambda ell: sorted(full(ell))[1:])
+    code, digest = _stdout_digest(["oracle-compare", "--ell", "3"])
+    assert code == 1
+    assert digest == "36ed289b5a9c25b26d335c4ec535f025694002a6bbabb44443749fadee0b68ea"

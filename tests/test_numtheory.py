@@ -373,6 +373,16 @@ def test_solve_three_d2_matches_scan():
         assert [u.normal for u in solve_three_d2(d)] == referee_three_d2(d), d
 
 
+def test_solve_three_d2_count_matches_the_product_formula():
+    # |Q(d)| = 4d * prod over primes p | d of (1 - chi(p)/p), where chi(p)
+    # is +1 for p = 1 mod 3, -1 for p = 2 mod 3 and 0 for p = 3.
+    for d in range(1, 302, 2):
+        want = 4 * d
+        for p, _ in referee_factorize(d):
+            want = want // p * (p - (0 if p == 3 else 1 if p % 3 == 1 else -1))
+        assert len(solve_three_d2(d)) == want, d
+
+
 def test_solve_three_d2_output_contract():
     for d in (1, 3, 5, 133):
         quads = solve_three_d2(d)

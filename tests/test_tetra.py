@@ -106,6 +106,22 @@ def test_enumerate_t0_counts():
     assert len(enumerate_t0(5)) == 56
 
 
+def test_count_t0_matches_the_closed_form():
+    # |T0(ell)| = 8 * prod over odd prime powers p^k exactly dividing ell
+    # of (p^k + 2(p^k - 1)/(p - 1)); factors of 2 do not change it.
+    for ell in range(1, 101):
+        want, rest, p = 8, ell, 3
+        while rest % 2 == 0:
+            rest //= 2
+        while rest > 1:
+            pk = 1
+            while rest % p == 0:
+                rest, pk = rest // p, pk * p
+            want *= pk + 2 * (pk - 1) // (p - 1)
+            p += 2
+        assert count_t0(ell) == want, ell
+
+
 def test_enumerate_t0_members_are_origin_tetrahedra():
     for ell in (1, 2, 3):
         for tet in enumerate_t0(ell):

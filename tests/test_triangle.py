@@ -123,6 +123,28 @@ def test_one_divisibility_test_on_non_primitive_quadruples():
                 assert_generators_match_referee(NormalQuadruple(g * quad.a, g * quad.b, g * quad.c, g * d))
 
 
+def _mirror(p):
+    return (-p[0], p[1], p[2])
+
+
+@pytest.mark.parametrize("corrupt, why", [
+    # The mirror keeps the base triangle equilateral with side 2d^2, so
+    # only the plane check can catch it.
+    (lambda u, v: (_mirror(u), _mirror(v)), "off the plane"),
+    (lambda u, v: (u, tuple(-x for x in v)), "not equilateral"),
+    (lambda u, v: (tuple(2 * x for x in u), tuple(2 * x for x in v)), "squared side"),
+], ids=["off-plane", "not-equilateral", "wrong-side"])
+def test_coeff_matrix_rejects_corrupted_generators(monkeypatch, corrupt, why):
+    from ztetra import triangle
+
+    honest = triangle._generators
+    monkeypatch.setattr(triangle, "_generators",
+                        lambda quad, rs: None if (uv := honest(quad, rs)) is None else corrupt(*uv))
+    for quad in (NormalQuadruple(1, 1, 1, 1), NormalQuadruple(19, 41, 151, 91)):
+        with pytest.raises(ConstructionError, match=why):
+            coeff_matrix(quad)
+
+
 def test_generators_lie_in_the_plane():
     for d in range(1, 16, 2):
         for quad in solve_three_d2(d):
