@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from operator import attrgetter
 from pathlib import Path
 
 from .eisenstein import EisensteinTriple, omega, primitive_triples, zeta
@@ -30,6 +31,7 @@ from .oracle import (
 from .tetra import (
     FaceNormalSet,
     LatticeTetrahedron,
+    _walk_t0,
     count_t0,
     enumerate_t0,
     face_normals,
@@ -151,13 +153,22 @@ def cmd_complete(args, out: Emitter) -> int:
     return 0
 
 
+# One enumerate-t0 tetrahedron line: json.dumps of _tetra_record(tet,
+# {"ell": ell}) with sorted keys and no whitespace, filled in directly.
+_T0_LINE = ('{"ell":%d,"kind":"tetrahedron","provenance":{"ell":%d},"side_sq":%d,'
+            '"vertices":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]]}\n')
+
+
 def cmd_enumerate_t0(args, out: Emitter) -> int:
     if args.count_only:
         value = count_t0(args.ell)
     else:
-        tets = sorted(enumerate_t0(args.ell), key=lambda t: t.vertices)
+        # The walk yields each tetrahedron once (see enumerate_t0), so no set is needed.
+        tets = sorted(_walk_t0(args.ell), key=attrgetter("vertices"))
+        write = sys.stdout.write
         for tet in tets:
-            out.emit(_tetra_record(tet, {"ell": args.ell}))
+            p0, p1, p2, p3 = tet.vertices
+            write(_T0_LINE % (tet.ell, args.ell, tet.side_sq, *p0, *p1, *p2, *p3))
         value = len(tets)
     out.emit({"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": value})
     return 0
@@ -220,14 +231,22 @@ _INT_FIELDS = {
     "diff": {"ell": (), "offset": ()},
 }
 
+# The count records producers emit, and the lists each diff record
+# carries by its what, with shapes as above; None is any length.
+_COUNT_WHATS = ("tetrahedra_t0", "grid_tetrahedra", "grid_triangles", "verified_records")
+_DIFF_LISTS = {
+    "bfile": {"mismatches": (None, 3), "missing": (None,)},
+    "t0_oracle": {"missing": (None, 4, 3), "extra": (None, 4, 3)},
+}
+
 
 def _check_ints(name: str, value, shape: tuple[int, ...]) -> None:
     """Require value to be an integer (not a boolean), or nested lists
-    of them with the given lengths; raises TypeError."""
+    of them with the given lengths (None for any); raises TypeError."""
     items = [value]
     for size in shape:
         for item in items:
-            if type(item) is not list or len(item) != size:
+            if type(item) is not list or size is not None and len(item) != size:
                 raise TypeError(f"{name} must be nested lists of shape {shape}, got {value!r}")
         items = [x for item in items for x in item]
     for item in items:
@@ -282,18 +301,25 @@ def _verify_record(rec: dict) -> None:
             raise VerificationError(f"zeta({rec['m']}, {rec['n']}) != {rec['k']}^2")
     elif kind == "triple":
         _verify_triple(rec)
-    elif kind in ("count", "diff"):
-        if type(rec["what"]) is not str:
-            raise TypeError(f"what must be a string, got {rec['what']!r}")
-        if kind == "count":
-            _check_ints("value", rec["value"], ())
-            if min(rec["value"], rec.get("n", 0)) < 0:
-                raise ValueError(f"count value {rec['value']} and n {rec.get('n')} must be at least 0")
-        else:
-            if type(rec.get("matched", False)) is not bool:
-                raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
-            if rec.get("offset", 0) not in (0, 1):
-                raise ValueError(f"offset must be 0 or 1, got {rec['offset']}")
+    elif kind == "count":
+        if rec["what"] not in _COUNT_WHATS:
+            raise ValueError(f"no producer emits a count of {rec['what']!r}")
+        _check_ints("value", rec["value"], ())
+        if min(rec["value"], rec.get("n", 0)) < 0:
+            raise ValueError(f"count value {rec['value']} and n {rec.get('n')} must be at least 0")
+    elif kind == "diff":
+        what = rec["what"]
+        if type(what) is not str or what not in _DIFF_LISTS:
+            raise ValueError(f"no producer emits a diff of {what!r}")
+        if type(rec.get("matched", False)) is not bool:
+            raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
+        if rec.get("offset", 0) not in (0, 1):
+            raise ValueError(f"offset must be 0 or 1, got {rec['offset']}")
+        for name, shape in _DIFF_LISTS[what].items():
+            _check_ints(name, rec[name], shape)
+        if what == "bfile" and rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
+            raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
+                                    f"mismatches and {len(rec['missing'])} missing")
     else:
         raise DomainError(f"unknown record kind: {kind!r}")
 

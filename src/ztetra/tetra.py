@@ -33,7 +33,6 @@ from .triangle import (
     Point,
     coeff_matrix,
     cross,
-    dist_sq,
     dot,
     sub,
     triangle_points,
@@ -56,7 +55,7 @@ class LatticeTetrahedron:
 
     @classmethod
     def from_vertices(cls, pts) -> "LatticeTetrahedron":
-        verts = tuple(sorted(tuple(p) for p in pts))
+        verts = tuple(sorted(map(tuple, pts)))
         if len(verts) != 4:
             raise DomainError(f"a tetrahedron needs exactly 4 vertices, got {len(verts)}")
         side_sq = verify_regular(*verts)
@@ -83,15 +82,30 @@ def verify_regular(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
     Checks all six pairwise squared distances against the first one and
     raises VerificationError naming the first failing pair.
     """
-    pts = (p0, p1, p2, p3)
-    side = dist_sq(p0, p1)
+    x0, y0, z0 = p0
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    x3, y3, z3 = p3
+    dx, dy, dz = x0 - x1, y0 - y1, z0 - z1
+    side = dx * dx + dy * dy + dz * dz
     if side == 0:
         raise VerificationError("degenerate: vertices p0 and p1 coincide")
-    for i, j in _VERTEX_PAIRS[1:]:
-        d2 = dist_sq(pts[i], pts[j])
+    dx, dy, dz = x0 - x2, y0 - y2, z0 - z2
+    d02 = dx * dx + dy * dy + dz * dz
+    dx, dy, dz = x0 - x3, y0 - y3, z0 - z3
+    d03 = dx * dx + dy * dy + dz * dz
+    dx, dy, dz = x1 - x2, y1 - y2, z1 - z2
+    d12 = dx * dx + dy * dy + dz * dz
+    dx, dy, dz = x1 - x3, y1 - y3, z1 - z3
+    d13 = dx * dx + dy * dy + dz * dz
+    dx, dy, dz = x2 - x3, y2 - y3, z2 - z3
+    d23 = dx * dx + dy * dy + dz * dz
+    if d02 == d03 == d12 == d13 == d23 == side:
+        return side
+    # One of the five differs; name the first.
+    for (i, j), d2 in zip(_VERTEX_PAIRS[1:], (d02, d03, d12, d13, d23)):
         if d2 != side:
             raise VerificationError(f"|p{i} p{j}|^2 = {d2} != {side} = |p0 p1|^2")
-    return side
 
 
 def _apexes(cm: CoeffMatrix, m: int, n: int) -> tuple[LatticeTriangle, list[tuple[int, Point]]]:

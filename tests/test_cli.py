@@ -10,7 +10,7 @@ import time
 import pytest
 
 from ztetra import DomainError, brute_tetrahedra_grid, brute_triangles_grid, enumerate_t0
-from ztetra.cli import Emitter, cmd_verify, main
+from ztetra.cli import Emitter, _tetra_record, cmd_verify, main
 
 
 def run(capsys, *argv):
@@ -132,6 +132,39 @@ def test_enumerate_t0_records_and_count(capsys):
     assert recs[-1] == {"kind": "count", "what": "tetrahedra_t0", "ell": 1, "value": 8}
     verts = [r["vertices"] for r in recs[:-1]]
     assert verts == sorted(verts)
+
+
+@pytest.mark.parametrize("ell", [*range(1, 31), 105, 165])
+def test_enumerate_t0_lines_match_json_dumps(capsys, ell):
+    # The fixed line template against the generic record path, over odd
+    # and even ell, with negative coordinates in most lines.
+    code, out = run(capsys, "enumerate-t0", "--ell", str(ell))
+    assert code == 0
+    want = [json.dumps(_tetra_record(t, {"ell": ell}), sort_keys=True, separators=(",", ":")) + "\n"
+            for t in sorted(enumerate_t0(ell), key=lambda t: t.vertices)]
+    assert out.splitlines(keepends=True)[:-1] == want
+
+
+def test_enumerate_t0_calls_json_dumps_for_the_count_only(capsys, monkeypatch):
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    code, out = run(capsys, "enumerate-t0", "--ell", "105")
+    assert code == 0
+    assert [rec["kind"] for rec, in calls] == ["count"]
+    assert len(out.splitlines()) == len(enumerate_t0(105)) + 1
+
+
+def test_enumerate_t0_verifies_every_tetrahedron_it_emits(capsys, monkeypatch):
+    from ztetra import tetra
+
+    want = sorted(t.vertices for t in enumerate_t0(15))
+    seen = []
+    check = tetra.verify_regular
+    monkeypatch.setattr(tetra, "verify_regular", lambda *pts: seen.append(pts) or check(*pts))
+    code, out = run(capsys, "enumerate-t0", "--ell", "15")
+    assert code == 0
+    assert sorted(seen) == want == [tuple(map(tuple, rec["vertices"])) for rec in records(out)[:-1]]
 
 
 def test_enumerate_t0_count_only_csv(capsys):
@@ -393,6 +426,58 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
         assert f"{path}:2: malformed record" in captured.err, bad
 
 
+def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
+    from ztetra import cli
+
+    path = tmp_path / "records.jsonl"
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("0 0\n1 5\n2 18\n")
+    full = cli.enumerate_t0
+    monkeypatch.setattr(cli, "enumerate_t0", lambda ell: sorted(full(ell))[1:] + sorted(full(1))[:1])
+    # Diff records with nonempty lists of both kinds, and every count what.
+    for argv in (["grid-count", "--n", "3", "--shape", "tetra", "--bfile", str(bfile)],
+                 ["grid-count", "--n", "2", "--shape", "triangle"],
+                 ["oracle-compare", "--ell", "3"]):
+        main(argv)
+        path.write_text(capsys.readouterr().out)
+        code, out = run(capsys, "verify", "--file", str(path))
+        assert code == 0, argv
+        path.write_text(path.read_text() + out)
+        assert run(capsys, "verify", "--file", str(path))[0] == 0, argv
+    good = '{"kind":"pair","m":8,"n":3,"k":7}'
+    bfile_diff = '{"kind":"diff","what":"bfile","offset":0,"shape":"tetra",'
+    oracle_diff = '{"kind":"diff","what":"t0_oracle","ell":2,'
+    malformed = (
+        '{"kind":"count","what":"no_such_count","value":3}',
+        '{"kind":"count","what":["tetrahedra_t0"],"value":3}',
+        '{"kind":"diff","what":"no_such_diff","missing":[],"extra":[]}',
+        '{"kind":"diff","what":{"x":1},"missing":[],"extra":[]}',
+        oracle_diff + '"missing":"abc","extra":{"x":1}}',
+        oracle_diff + '"missing":[],"extra":{"x":1}}',
+        oracle_diff + '"missing":[[[0,0,0],[1,1,0],[1,0,1]]],"extra":[]}',
+        oracle_diff + '"missing":[],"extra":[[1,2,3]]}',
+        oracle_diff + '"missing":[]}',
+        bfile_diff + '"matched":true,"missing":[]}',
+        bfile_diff + '"mismatches":[],"missing":[]}',
+        bfile_diff + '"matched":false,"mismatches":[[1,2]],"missing":[]}',
+        bfile_diff + '"matched":false,"mismatches":[1,2,5],"missing":[]}',
+        bfile_diff + '"matched":false,"mismatches":[],"missing":[[3]]}',
+        bfile_diff + '"matched":false,"mismatches":[],"missing":3}',
+    )
+    disagreeing = (
+        bfile_diff + '"matched":true,"mismatches":[[1,2,5]],"missing":[3]}',
+        bfile_diff + '"matched":true,"mismatches":[],"missing":[3]}',
+        bfile_diff + '"matched":false,"mismatches":[],"missing":[]}',
+    )
+    for bad in malformed + disagreeing:
+        path.write_text(good + "\n" + bad + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "malformed record" if bad in malformed else "matched is"
+        assert captured.err.startswith(f"error: {path}:2: {reason}"), (bad, captured.err)
+
+
 def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
     path = tmp_path / "pairs.jsonl"
     good = '{"kind":"pair","m":8,"n":3,"k":7}'
@@ -530,3 +615,20 @@ def test_closed_output_pipe_is_quiet():
     proc.stderr.close()
     assert code == 1
     assert b"Traceback" not in err
+
+
+def test_closed_output_pipe_during_enumeration_is_quiet():
+    # enumerate-t0 writes its tetrahedron lines straight to stdout; a
+    # reader that leaves after one line must still give exit 1 and no
+    # message at all.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ztetra", "enumerate-t0", "--ell", "555"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(b'{"ell":555,"kind":"tetrahedron"')
+    assert code == 1
+    assert err == b""

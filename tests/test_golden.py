@@ -36,6 +36,8 @@ GOLDEN = [
     ("enumerate-t0 --ell 165", "4dbc653919632a8da90dcd9987ad7edb3b2d219c72acea5746e7e792ef90bf6c"),
     ("enumerate-t0 --ell 555", "90b32df73c12e621976e599ff3205853f7dfc5961e670f941964632ddc837f75"),
     ("enumerate-t0 --ell 665", "6b42149593444594682441ffc700f9d8f50b600152952e6edfddca4d6b107793"),
+    ("enumerate-t0 --ell 630", "1b36420bc9f97b41866cea27deb61c38c79ca730ec0acaaabb6fcb0c0eb2d4dd"),
+    ("enumerate-t0 --ell 429", "7fda6328c21df081d03ec3b68a3c442f5973e7122585782e164f9c8b41d4bdca"),
     ("enumerate-t0 --ell 555 --count-only",
      "bf98beca58aec744d43056e0a121f31a4bc16ab9dd8b9f7e87bbd8c6cd9d85eb"),
     ("grid-count --n 3 --shape tetra", "5baa21b5ef96dc0a71fab72383cdd76394d9f62fab37d4a5e73deb745fc7331c"),

@@ -73,7 +73,8 @@ def valid(rec):
         rows = [[Fraction(x, 2 * f[3]) for x in f] for f in faces]
         return orthonormal(rows) and orthonormal(list(zip(*rows)))
     assert kind == "count", kind
-    return True
+    # A count's value is not recomputed, but no producer emits ell < 1 or value < 0.
+    return rec.get("ell", 1) >= 1 and rec["value"] >= 0
 
 
 def numeric_paths(rec):

@@ -34,7 +34,7 @@ from ztetra import (
 )
 from ztetra.numtheory import _base_triples, _coset_maps
 from ztetra.tetra import _walk_t0
-from ztetra.triangle import ORIGIN, cross, dot, sub
+from ztetra.triangle import ORIGIN, cross, dist_sq, dot, sub
 
 UNIT_QUAD = NormalQuadruple(1, 1, 1, 1)
 
@@ -48,6 +48,55 @@ def test_verify_regular_rejects_bad_input():
         verify_regular((0, 0, 0), (0, 0, 0), (0, -1, 1), (1, 0, 1))
     with pytest.raises(VerificationError, match=r"p0 p3"):
         verify_regular((0, 0, 0), (1, -1, 0), (0, -1, 1), (2, 0, 2))
+
+
+def six_dist_sq_referee(*pts):
+    """verify_regular as six dist_sq calls, first failing pair first."""
+    side = dist_sq(pts[0], pts[1])
+    if side == 0:
+        raise VerificationError("degenerate: vertices p0 and p1 coincide")
+    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        d2 = dist_sq(pts[i], pts[j])
+        if d2 != side:
+            raise VerificationError(f"|p{i} p{j}|^2 = {d2} != {side} = |p0 p1|^2")
+    return side
+
+
+def outcome(check, pts):
+    try:
+        return check(*pts)
+    except VerificationError as exc:
+        return str(exc)
+
+
+SMALL_REGULAR = sorted(enumerate_t0(1) | enumerate_t0(3) | enumerate_t0(5))
+
+
+@st.composite
+def four_points(draw):
+    """Four points: a regular tetrahedron, permuted and translated, then
+    changed in one vertex; or four points of a small cube, which
+    coincide or tie in distance often."""
+    if draw(st.booleans()):
+        shift = draw(st.tuples(*[st.integers(-50, 50)] * 3))
+        pts = [[a + b for a, b in zip(p, shift)]
+               for p in draw(st.permutations(draw(st.sampled_from(SMALL_REGULAR)).vertices))]
+        if draw(st.booleans()):
+            # One coordinate nudged by at most 2, often 0.
+            pts[draw(st.integers(0, 3))][draw(st.integers(0, 2))] += draw(st.integers(-2, 2))
+        else:
+            # Vertex m moved to the mirror image of vertex k through the
+            # midpoint of i and j: only its distance to k changes.
+            i, j, k, m = draw(st.permutations(range(4)))
+            pts[m] = [a + b - c for a, b, c in zip(pts[i], pts[j], pts[k])]
+    else:
+        pts = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=4, max_size=4))
+    return [tuple(p) for p in pts] if draw(st.booleans()) else pts
+
+
+@given(four_points())
+def test_verify_regular_matches_six_dist_sq_calls(pts):
+    assert outcome(verify_regular, pts) == outcome(six_dist_sq_referee, pts)
 
 
 def test_from_vertices_sorts_and_records_ell():
