@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from operator import attrgetter
 from pathlib import Path
 
 from .eisenstein import EisensteinTriple, omega, primitive_triples, zeta
@@ -31,7 +30,6 @@ from .oracle import (
 from .tetra import (
     FaceNormalSet,
     LatticeTetrahedron,
-    _walk_t0,
     count_t0,
     enumerate_t0,
     face_normals,
@@ -119,7 +117,7 @@ def cmd_solve3d2(args, out: Emitter) -> int:
 
 
 def cmd_omega(args, out: Emitter) -> int:
-    for m, n in sorted(omega(args.k)):
+    for m, n in omega(args.k):
         out.emit(_pair_record(m, n, args.k))
     return 0
 
@@ -163,8 +161,7 @@ def cmd_enumerate_t0(args, out: Emitter) -> int:
     if args.count_only:
         value = count_t0(args.ell)
     else:
-        # The walk yields each tetrahedron once (see enumerate_t0), so no set is needed.
-        tets = sorted(_walk_t0(args.ell), key=attrgetter("vertices"))
+        tets = enumerate_t0(args.ell)
         write = sys.stdout.write
         for tet in tets:
             p0, p1, p2, p3 = tet.vertices
@@ -269,6 +266,28 @@ def _verify_triple(rec: dict) -> None:
         raise VerificationError(f"(m, n, k) = {(m, n, k)} is not form {form} of (u, v) = {(u, v)}")
 
 
+def _verify_bfile_diff(rec: dict) -> None:
+    """shape is one grid-count scans, and matched is true exactly when
+    the diff lists no mismatch and no missing term."""
+    if rec["shape"] not in ("tetra", "triangle"):
+        raise ValueError(f"no producer emits a diff of shape {rec['shape']!r}")
+    if rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
+        raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
+                                f"mismatches and {len(rec['missing'])} missing")
+
+
+def _verify_t0_oracle_diff(rec: dict) -> None:
+    """Every listed tetrahedron is in T0(ell): a regular tetrahedron with
+    a vertex at the origin and squared side 2*ell*ell."""
+    want = 2 * rec["ell"] ** 2
+    for vertices in (*rec["missing"], *rec["extra"]):
+        if [0, 0, 0] not in vertices:
+            raise VerificationError(f"tetrahedron {vertices} has no vertex at the origin")
+        side_sq = verify_regular(*vertices)
+        if side_sq != want:
+            raise VerificationError(f"tetrahedron {vertices} has squared side {side_sq}, not {want}")
+
+
 def _verify_record(rec: dict) -> None:
     kind = rec.get("kind")
     for name, shape in _INT_FIELDS.get(kind, {}).items():
@@ -295,10 +314,7 @@ def _verify_record(rec: dict) -> None:
         if not verify_orthogonality(FaceNormalSet(faces)):
             raise VerificationError("face normals fail the orthogonality identities")
     elif kind == "pair":
-        if rec["k"] < 1:
-            raise VerificationError(f"pair k must be positive, got {rec['k']}")
-        if zeta(rec["m"], rec["n"]) != rec["k"] ** 2:
-            raise VerificationError(f"zeta({rec['m']}, {rec['n']}) != {rec['k']}^2")
+        EisensteinTriple(rec["m"], rec["n"], rec["k"])
     elif kind == "triple":
         _verify_triple(rec)
     elif kind == "count":
@@ -317,9 +333,10 @@ def _verify_record(rec: dict) -> None:
             raise ValueError(f"offset must be 0 or 1, got {rec['offset']}")
         for name, shape in _DIFF_LISTS[what].items():
             _check_ints(name, rec[name], shape)
-        if what == "bfile" and rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
-            raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
-                                    f"mismatches and {len(rec['missing'])} missing")
+        if what == "bfile":
+            _verify_bfile_diff(rec)
+        else:
+            _verify_t0_oracle_diff(rec)
     else:
         raise DomainError(f"unknown record kind: {kind!r}")
 

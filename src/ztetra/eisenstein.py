@@ -1,8 +1,8 @@
 """The hexagonal form zeta(m, n) = m*m - m*n + n*n and its representations.
 
 zeta is the squared-length form of the triangular lattice; the integers
-it represents are the Loeschian numbers.  omega(k) is the full solution
-set of zeta(m, n) == k*k, tau_orbit expands a pair under the twelve
+it represents are the Loeschian numbers.  omega(k) lists every solution
+of zeta(m, n) == k*k, tau_orbit expands a pair under the twelve
 lattice symmetries that fix zeta, and primitive_triples generates the
 coprime positive pairs whose zeta value is a perfect square.
 """
@@ -25,8 +25,8 @@ def zeta(m: int, n: int) -> int:
     return m * m - m * n + n * n
 
 
-def omega(k: int) -> set[Pair]:
-    """All integer pairs (m, n) with zeta(m, n) == k*k.
+def omega(k: int) -> list[Pair]:
+    """All integer pairs (m, n) with zeta(m, n) == k*k, sorted.
 
     Read off the factorization of k: zeta(m, n) is the norm of the
     Eisenstein integer m + n*omega, so the pairs are the elements of
@@ -35,7 +35,7 @@ def omega(k: int) -> set[Pair]:
     pairs (k, 0), (k, k), (0, k) and their negatives.
     """
     check_range("k", k, 1)
-    return set(zeta_pairs((p, 2 * e) for p, e in factorize(k).factors))
+    return sorted(zeta_pairs((p, 2 * e) for p, e in factorize(k).factors))
 
 
 def tau_orbit(m: int, n: int) -> set[Pair]:
@@ -73,7 +73,7 @@ class EisensteinTriple:
 
     def __post_init__(self) -> None:
         if self.k < 1 or zeta(self.m, self.n) != self.k * self.k:
-            raise DomainError(f"zeta{(self.m, self.n)} != {self.k}**2")
+            raise DomainError(f"(m, n, k) = {(self.m, self.n, self.k)} needs k >= 1 and zeta(m, n) == k**2")
 
     def is_primitive(self) -> bool:
         return gcd(self.m, self.n) == 1
@@ -83,15 +83,15 @@ def primitive_triples(kmax: int) -> list[EisensteinTriple]:
     """All primitive triples with zeta(m, n) == k*k, m, n > 0 and k <= kmax.
 
     Generated from coprime (u, v) with u + v not divisible by 3: form 1
-    applies when v > u, form 2 when v/2 < u < 2v.  Completeness at desk
-    scale is pinned against a brute-force scan in the test suite.
-    Sorted by (k, m, n).  The scan takes time and memory linear in
-    kmax, so kmax above TRIPLES_KMAX = 10**6 raises RangeError.
+    applies when v > u, form 2 when v/2 < u < 2v; no (m, n) comes twice
+    (swept up to TRIPLES_KMAX).  The tests pin completeness against a
+    brute-force scan.  Sorted by (k, m, n).  Time and memory are linear
+    in kmax, so kmax above TRIPLES_KMAX = 10**6 raises RangeError.
     """
     check_range("kmax", kmax, 1)
     if kmax > TRIPLES_KMAX:
         raise RangeError(f"kmax must be at most {TRIPLES_KMAX}, got {kmax}")
-    found: dict[Pair, EisensteinTriple] = {}
+    found: list[EisensteinTriple] = []
     bound = isqrt(4 * kmax // 3) + 2
     for u in range(1, bound + 1):
         for v in range(1, bound + 1):
@@ -103,9 +103,9 @@ def primitive_triples(kmax: int) -> list[EisensteinTriple]:
             if v > u:
                 m, n = v * v - u * u, 2 * u * v - u * u
                 if m > 0 and n > 0 and gcd(m, n) == 1:
-                    found.setdefault((m, n), EisensteinTriple(m, n, k, u, v, 1))
+                    found.append(EisensteinTriple(m, n, k, u, v, 1))
             if 2 * v > u and 2 * u > v:
                 m, n = 2 * u * v - u * u, 2 * u * v - v * v
                 if m > 0 and n > 0 and gcd(m, n) == 1:
-                    found.setdefault((m, n), EisensteinTriple(m, n, k, u, v, 2))
-    return sorted(found.values(), key=lambda t: (t.k, t.m, t.n))
+                    found.append(EisensteinTriple(m, n, k, u, v, 2))
+    return sorted(found, key=lambda t: (t.k, t.m, t.n))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DomainError, RangeError
@@ -145,13 +146,13 @@ def _sphere(r2: int) -> list[Point]:
     return sphere
 
 
-def brute_t0(ell: int) -> set[LatticeTetrahedron]:
+def brute_t0(ell: int) -> list[LatticeTetrahedron]:
     """Regular tetrahedra with a vertex at the origin and squared side
-    2*ell*ell, found by raw sphere scanning.
+    2*ell*ell, found by raw sphere scanning, sorted by vertices.
 
     The other three vertices lie on the sphere of squared radius
     2*ell*ell and are pairwise at that same squared distance, so they
-    are the 3-cliques of that distance graph on the sphere.  Finding
+    are the 3-cliques of that distance graph, each found once.  Finding
     the sphere takes about ell^2 steps, the pair scan the square of
     its size.  ell above BRUTE_T0_MAX raises RangeError before any scan.
     """
@@ -160,8 +161,9 @@ def brute_t0(ell: int) -> set[LatticeTetrahedron]:
         raise RangeError(f"ell must be at most {BRUTE_T0_MAX} for the brute-force scan, got {ell}")
     target = 2 * ell * ell
     sphere = _sphere(target)
-    tris = _cliques(sphere, 3, lambda s2: s2 == target)
-    return {LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t])) for i, j, t in tris}
+    tets = (LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t]))
+            for i, j, t in _cliques(sphere, 3, lambda s2: s2 == target))
+    return sorted(tets, key=attrgetter("vertices"))
 
 
 @dataclass(frozen=True)

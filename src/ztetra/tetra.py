@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import attrgetter
 
 from .eisenstein import omega, zeta
 from .errors import ConstructionError, DomainError, RangeError, VerificationError
@@ -150,9 +151,9 @@ def complete_tetrahedron(quad: NormalQuadruple, cm: CoeffMatrix, m: int, n: int)
     return [tet for _, tet in signed_completions(cm, m, n)]
 
 
-def enumerate_t0(ell: int) -> set[LatticeTetrahedron]:
+def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
     """Every regular lattice tetrahedron with a vertex at the origin and
-    squared side 2*ell*ell.
+    squared side 2*ell*ell, once each, sorted by vertices.
 
     For each odd divisor d of ell and each primitive quadruple at scale
     d, the triangles with parameters in omega(ell / d) are completed on
@@ -160,7 +161,7 @@ def enumerate_t0(ell: int) -> set[LatticeTetrahedron]:
     the origin and each of them is built exactly once, so keeping a
     completion only when its apex is lexicographically greater than both
     other non-origin vertices (its canonical face) emits every
-    tetrahedron exactly once; the set never deduplicates.
+    tetrahedron exactly once.
 
     The planes are visited one per orbit of the 48 signed coordinate
     permutations.  A primitive normal has a, b and c all odd, so none is
@@ -175,11 +176,11 @@ def enumerate_t0(ell: int) -> set[LatticeTetrahedron]:
     the odd part of ell, so an odd part above THREE_D2_DMAX raises
     RangeError up front.
     """
-    return set(_walk_t0(ell))
+    return sorted(_walk_t0(ell), key=attrgetter("vertices"))
 
 
 def count_t0(ell: int) -> int:
-    """len(enumerate_t0(ell)), counted off the walk without holding the set."""
+    """len(enumerate_t0(ell)), counted off the walk without holding the list."""
     return sum(1 for _ in _walk_t0(ell))
 
 
@@ -194,7 +195,7 @@ def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
     for d in range(1, odd + 1, 2):
         if odd % d:
             continue
-        pairs = sorted(omega(ell // d))
+        pairs = omega(ell // d)
         for normal in _base_triples(d):
             cm = coeff_matrix(NormalQuadruple(*normal, d))
             maps = _coset_maps(normal).values()

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ztetra import DomainError, brute_tetrahedra_grid, brute_triangles_grid, enumerate_t0
+from ztetra import DomainError, EisensteinTriple, brute_tetrahedra_grid, brute_triangles_grid, enumerate_t0
 from ztetra.cli import Emitter, _tetra_record, cmd_verify, main
 
 
@@ -432,8 +432,10 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
     path = tmp_path / "records.jsonl"
     bfile = tmp_path / "b.txt"
     bfile.write_text("0 0\n1 5\n2 18\n")
-    full = cli.enumerate_t0
-    monkeypatch.setattr(cli, "enumerate_t0", lambda ell: sorted(full(ell))[1:] + sorted(full(1))[:1])
+    full, full_brute = cli.enumerate_t0, cli.brute_t0
+    # Each side drops a different tetrahedron of T0(ell), so the diff has one missing and one extra.
+    monkeypatch.setattr(cli, "enumerate_t0", lambda ell: full(ell)[1:])
+    monkeypatch.setattr(cli, "brute_t0", lambda ell: full_brute(ell)[:-1])
     # Diff records with nonempty lists of both kinds, and every count what.
     for argv in (["grid-count", "--n", "3", "--shape", "tetra", "--bfile", str(bfile)],
                  ["grid-count", "--n", "2", "--shape", "triangle"],
@@ -457,37 +459,48 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         oracle_diff + '"missing":[[[0,0,0],[1,1,0],[1,0,1]]],"extra":[]}',
         oracle_diff + '"missing":[],"extra":[[1,2,3]]}',
         oracle_diff + '"missing":[]}',
+        '{"kind":"diff","what":"t0_oracle","missing":[],"extra":[]}',
         bfile_diff + '"matched":true,"missing":[]}',
         bfile_diff + '"mismatches":[],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[[1,2]],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[1,2,5],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":[[3]]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":3}',
+        bfile_diff.replace('"tetra"', '"cube"') + '"matched":true,"mismatches":[],"missing":[]}',
+        bfile_diff.replace('"shape":"tetra",', '') + '"matched":true,"mismatches":[],"missing":[]}',
     )
     disagreeing = (
         bfile_diff + '"matched":true,"mismatches":[[1,2,5]],"missing":[3]}',
         bfile_diff + '"matched":true,"mismatches":[],"missing":[3]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":[]}',
     )
-    for bad in malformed + disagreeing:
+    # T0(2) holds {0, (2,2,0), (2,0,2), (0,2,2)}; these lists hold shapes outside it.
+    outside_t0 = (
+        (oracle_diff + '"missing":[[[0,0,0],[0,0,0],[0,0,0],[0,0,0]]],"extra":[]}', "degenerate"),
+        (oracle_diff + '"missing":[],"extra":[[[0,0,0],[2,2,0],[2,0,2],[2,2,2]]]}', "|p0 p3|^2"),
+        (oracle_diff + '"missing":[],"extra":[[[1,1,1],[3,3,1],[3,1,3],[1,3,3]]]}', "tetrahedron [[1, 1, 1]"),
+        (oracle_diff + '"missing":[[[0,0,0],[1,1,0],[1,0,1],[0,1,1]]],"extra":[]}', "tetrahedron [[0, 0, 0]"),
+    )
+    cases = ([(bad, "malformed record") for bad in malformed]
+             + [(bad, "matched is") for bad in disagreeing] + list(outside_t0))
+    for bad, reason in cases:
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
         captured = capsys.readouterr()
         assert captured.out == ""
-        reason = "malformed record" if bad in malformed else "matched is"
         assert captured.err.startswith(f"error: {path}:2: {reason}"), (bad, captured.err)
 
 
 def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
     path = tmp_path / "pairs.jsonl"
     good = '{"kind":"pair","m":8,"n":3,"k":7}'
-    for bad in ('{"kind":"pair","m":0,"n":0,"k":0}', '{"kind":"pair","m":8,"n":3,"k":-7}',
-                '{"kind":"pair","m":0,"n":0,"k":1}'):
-        path.write_text(good + "\n" + bad + "\n")
-        assert main(["verify", "--file", str(path)]) == 1, bad
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{path}:2:" in captured.err, bad
+    # k 0, k -7, k -1 and zeta(m, n) != k^2 each fail with EisensteinTriple's own message.
+    for m, n, k in ((0, 0, 0), (8, 3, -7), (1, 0, -1), (0, 0, 1)):
+        path.write_text(good + "\n" + json.dumps({"kind": "pair", "m": m, "n": n, "k": k}) + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, (m, n, k)
+        with pytest.raises(DomainError) as exc:
+            EisensteinTriple(m, n, k)
+        assert capsys.readouterr() == ("", f"error: {path}:2: {exc.value}\n")
     path.write_text(good + "\n")
     assert run(capsys, "verify", "--file", str(path))[0] == 0
 

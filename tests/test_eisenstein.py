@@ -61,12 +61,12 @@ def test_zeta_nonnegative():
 
 def test_omega_matches_brute_force():
     for k in range(1, 26):
-        assert omega(k) == brute_omega(k), k
+        assert omega(k) == sorted(brute_omega(k)), k
 
 
 def test_omega_matches_column_scan():
     for k in range(1, 2001):
-        assert omega(k) == referee_omega(k), k
+        assert omega(k) == sorted(referee_omega(k)), k
 
 
 def test_omega_sizes_match_representation_counts():
@@ -76,7 +76,7 @@ def test_omega_sizes_match_representation_counts():
 
 def test_omega_axial_for_primes_2_mod_3():
     for k in (2, 5, 11, 17, 23):
-        assert omega(k) == {(k, 0), (0, k), (k, k), (-k, 0), (0, -k), (-k, -k)}
+        assert omega(k) == [(-k, -k), (-k, 0), (0, -k), (0, k), (k, 0), (k, k)]
 
 
 def test_omega_seven_has_18_elements():
@@ -175,7 +175,7 @@ def test_primitive_triples_record_their_generators():
 
 
 def test_primitive_triples_sorted_and_unique():
-    triples = primitive_triples(100)
+    triples = primitive_triples(10**4)
     keys = [(t.k, t.m, t.n) for t in triples]
     assert keys == sorted(keys)
     assert len({(t.m, t.n) for t in triples}) == len(triples)

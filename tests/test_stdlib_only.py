@@ -1,4 +1,5 @@
-"""ztetra imports nothing outside the standard library."""
+"""ztetra imports nothing outside the standard library, and its CLI
+imports only the public names of the package."""
 
 import ast
 import sys
@@ -20,3 +21,12 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_cli_imports_no_private_name():
+    # A private import would let the CLI run a second path beside the library's.
+    path = Path(ztetra.__file__).parent / "cli.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ztetra"):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, (node.module, private)

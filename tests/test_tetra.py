@@ -4,6 +4,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import isqrt
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +70,7 @@ def outcome(check, pts):
         return str(exc)
 
 
-SMALL_REGULAR = sorted(enumerate_t0(1) | enumerate_t0(3) | enumerate_t0(5))
+SMALL_REGULAR = sorted(enumerate_t0(1) + enumerate_t0(3) + enumerate_t0(5))
 
 
 @st.composite
@@ -230,12 +231,15 @@ def test_canonical_faces_lose_no_tetrahedron():
                 for m, n in omega(ell // d):
                     generated.update(complete_tetrahedron(quad, cm, m, n))
         assert set(generated.values()) == {3}, ell
-        assert enumerate_t0(ell) == set(generated), ell
+        assert enumerate_t0(ell) == sorted(generated, key=attrgetter("vertices")), ell
 
 
 def test_enumerate_t0_matches_brute_force():
     for ell in range(1, 61):
-        assert enumerate_t0(ell) == brute_t0(ell), ell
+        tets = enumerate_t0(ell)
+        verts = [tet.vertices for tet in tets]
+        assert type(tets) is list and all(a < b for a, b in zip(verts, verts[1:])), ell
+        assert tets == brute_t0(ell), ell
 
 
 def test_signed_completions_agree_with_fourth_vertex():
