@@ -4,7 +4,7 @@ Every subcommand prints one JSON object per line with stable field
 names, sorted keys and no whitespace, so identical arguments give
 byte-identical output across runs.  --format csv is a
 flat alternative for count records.  Exit codes: 0 success, 1 domain or
-verification failure (including a nonempty diff), 2 usage errors.
+verification failure (including a nonempty oracle diff), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Emitter:
 
     CSV is only defined for count records, and a run emits at most one,
     so each prints as a header of its sorted field names and one row;
-    emitting anything else in csv mode is a usage error.
+    _check_format rejects every other csv run before it starts.
     """
 
     def __init__(self, fmt: str) -> None:
@@ -55,8 +55,6 @@ class Emitter:
         if self.fmt == "jsonl":
             print(json.dumps(record, sort_keys=True, separators=(",", ":")))
             return
-        if record.get("kind") != "count":
-            raise UsageError("--format csv supports count records only")
         fields = sorted(record)
         print(",".join(fields))
         print(",".join(str(record[f]) for f in fields))
@@ -215,130 +213,113 @@ def _not_an_integer(text: str):
 # No producer emits a float, NaN or Infinity, so verify's decoder rejects them anywhere.
 _DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
-# Numeric fields of each record kind verify accepts, with their list shapes:
-# () is one integer, (3,) a list of three, (4, 3) four lists of three.
-_INT_FIELDS = {
-    "tetrahedron": {"vertices": (4, 3), "side_sq": (), "ell": ()},
-    "triangle": {"p": (3,), "q": (3,), "side_sq": ()},
-    "quadruple": {"a": (), "b": (), "c": (), "d": (), "q": ()},
+_INT = ()  # the list shape of one integer
+
+# The fields of each record a producer writes, besides kind, what and an
+# optional provenance, keyed by kind, or by (kind, what) for count and diff
+# records.  A field is a list shape of integers (_INT one integer, (3,) a
+# list of three, (None, 3) any number of lists of three), an integer N for
+# any integer at least N, bool for a JSON boolean, or a set of allowed values.
+_ROWS = {
+    "tetrahedron": {"vertices": (4, 3), "side_sq": _INT, "ell": 1},
+    "triangle": {"p": (3,), "q": (3,), "side_sq": _INT},
+    "quadruple": {"a": _INT, "b": _INT, "c": _INT, "d": _INT, "q": _INT},
     "normal-set": {"faces": (4, 4)},
-    "pair": {"m": (), "n": (), "k": ()},
-    "triple": {"m": (), "n": (), "k": (), "u": (), "v": (), "form": ()},
-    "count": {"value": (), "ell": (), "n": ()},
-    "diff": {"ell": (), "offset": ()},
-}
-
-# The count records producers emit, and the lists each diff record
-# carries by its what, with shapes as above; None is any length.
-_COUNT_WHATS = ("tetrahedra_t0", "grid_tetrahedra", "grid_triangles", "verified_records")
-_DIFF_LISTS = {
-    "bfile": {"mismatches": (None, 3), "missing": (None,)},
-    "t0_oracle": {"missing": (None, 4, 3), "extra": (None, 4, 3)},
+    "pair": {"m": _INT, "n": _INT, "k": _INT},
+    "triple": {"m": _INT, "n": _INT, "k": _INT, "u": _INT, "v": _INT, "form": _INT},
+    ("count", "tetrahedra_t0"): {"ell": 1, "value": 0},
+    ("count", "grid_tetrahedra"): {"n": 0, "shape": {"tetra"}, "value": 0},
+    ("count", "grid_triangles"): {"n": 0, "shape": {"triangle"}, "value": 0},
+    ("count", "verified_records"): {"value": 0},
+    ("diff", "bfile"): {"shape": {"tetra", "triangle"}, "offset": {0, 1}, "matched": bool,
+                        "mismatches": (None, 3), "missing": (None,)},
+    ("diff", "t0_oracle"): {"ell": 1, "missing": (None, 4, 3), "extra": (None, 4, 3)},
 }
 
 
-def _check_ints(name: str, value, shape: tuple[int, ...]) -> None:
-    """Require value to be an integer (not a boolean), or nested lists
-    of them with the given lengths (None for any); raises TypeError."""
-    items = [value]
-    for size in shape:
+def _check_field(name: str, value, spec) -> None:
+    """Require value to fit spec, a field of _ROWS; raises TypeError or ValueError."""
+    if type(spec) is tuple:
+        items = [value]
+        for size in spec:
+            for item in items:
+                if type(item) is not list or size is not None and len(item) != size:
+                    raise TypeError(f"{name} must be nested lists of shape {spec}, got {value!r}")
+            items = [x for item in items for x in item]
         for item in items:
-            if type(item) is not list or size is not None and len(item) != size:
-                raise TypeError(f"{name} must be nested lists of shape {shape}, got {value!r}")
-        items = [x for item in items for x in item]
-    for item in items:
-        if type(item) is not int:
-            raise TypeError(f"{name} must hold only integers, got {value!r}")
-
-
-def _verify_triple(rec: dict) -> None:
-    """(m, n, k) is a triple, and u, v and form, when any is given, are
-    all given and generate it by the formulas of EisensteinTriple."""
-    m, n, k = rec["m"], rec["n"], rec["k"]
-    EisensteinTriple(m, n, k)
-    if not {"u", "v", "form"} & rec.keys():
-        return
-    u, v, form = rec["u"], rec["v"], rec["form"]
-    forms = {1: (v * v - u * u, 2 * u * v - u * u), 2: (2 * u * v - u * u, 2 * u * v - v * v)}
-    if form not in forms:
-        raise VerificationError(f"triple form must be 1 or 2, got {form}")
-    if (m, n) != forms[form] or k != zeta(u, v):
-        raise VerificationError(f"(m, n, k) = {(m, n, k)} is not form {form} of (u, v) = {(u, v)}")
-
-
-def _verify_bfile_diff(rec: dict) -> None:
-    """shape is one grid-count scans, and matched is true exactly when
-    the diff lists no mismatch and no missing term."""
-    if rec["shape"] not in ("tetra", "triangle"):
-        raise ValueError(f"no producer emits a diff of shape {rec['shape']!r}")
-    if rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
-        raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
-                                f"mismatches and {len(rec['missing'])} missing")
-
-
-def _verify_t0_oracle_diff(rec: dict) -> None:
-    """Every listed tetrahedron is in T0(ell): a regular tetrahedron with
-    a vertex at the origin and squared side 2*ell*ell."""
-    want = 2 * rec["ell"] ** 2
-    for vertices in (*rec["missing"], *rec["extra"]):
-        if [0, 0, 0] not in vertices:
-            raise VerificationError(f"tetrahedron {vertices} has no vertex at the origin")
-        side_sq = verify_regular(*vertices)
-        if side_sq != want:
-            raise VerificationError(f"tetrahedron {vertices} has squared side {side_sq}, not {want}")
+            if type(item) is not int:
+                raise TypeError(f"{name} must hold only integers, got {value!r}")
+    elif spec is bool:
+        if type(value) is not bool:
+            raise TypeError(f"{name} must be a boolean, got {value!r}")
+    elif type(spec) is int:
+        if type(value) is not int or value < spec:
+            raise ValueError(f"{name} must be an integer of at least {spec}, got {value!r}")
+    elif type(value) not in (int, str) or value not in spec:
+        raise ValueError(f"{name} must be one of {sorted(spec)}, got {value!r}")
 
 
 def _verify_record(rec: dict) -> None:
+    """Require exactly the fields of rec's row in _ROWS, then redo its producer's math."""
     kind = rec.get("kind")
-    for name, shape in _INT_FIELDS.get(kind, {}).items():
-        if name in rec:
-            _check_ints(name, rec[name], shape)
-    if kind in ("tetrahedron", "count", "diff") and rec.get("ell", 1) < 1:
-        raise ValueError(f"ell must be at least 1, got {rec['ell']}")
+    key = (kind, rec.get("what")) if kind in ("count", "diff") else kind
+    row = _ROWS.get(key)
+    if row is None:
+        raise ValueError(f"no producer emits a record of {key!r}")
+    if kind == "triple" and rec.keys().isdisjoint(("u", "v", "form")):
+        row = _ROWS["pair"]  # a triple's generators u, v and form are optional, as one group
+    for name, spec in row.items():
+        value = rec[name]
+        if spec is not _INT or type(value) is not int:
+            _check_field(name, value, spec)
+    head = ("kind",) if key is kind else ("kind", "what")
+    if len(rec) - ("provenance" in rec) != len(row) + len(head):
+        extra = rec.keys() - {*row, *head, "provenance"}
+        raise ValueError(f"no producer writes {sorted(extra)} in a record of {key!r}")
     if kind == "tetrahedron":
         side_sq = verify_regular(*rec["vertices"])
-        if side_sq != rec["side_sq"]:
-            raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
-        if "ell" in rec and 2 * rec["ell"] ** 2 != side_sq:
+        if 2 * rec["ell"] ** 2 != side_sq:
             raise VerificationError(f"recorded ell {rec['ell']} does not square to {side_sq}")
     elif kind == "triangle":
         side_sq = verify_equilateral(rec["p"], rec["q"])
-        if side_sq != rec["side_sq"]:
-            raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
     elif kind == "quadruple":
         quad = NormalQuadruple(rec["a"], rec["b"], rec["c"], rec["d"])
-        if "q" in rec and rec["q"] != quad.q:
+        if rec["q"] != quad.q:
             raise VerificationError(f"recorded q {rec['q']} != {quad.q}")
     elif kind == "normal-set":
         faces = tuple(NormalQuadruple(*f) for f in rec["faces"])
         if not verify_orthogonality(FaceNormalSet(faces)):
             raise VerificationError("face normals fail the orthogonality identities")
-    elif kind == "pair":
-        EisensteinTriple(rec["m"], rec["n"], rec["k"])
-    elif kind == "triple":
-        _verify_triple(rec)
-    elif kind == "count":
-        if rec["what"] not in _COUNT_WHATS:
-            raise ValueError(f"no producer emits a count of {rec['what']!r}")
-        _check_ints("value", rec["value"], ())
-        if min(rec["value"], rec.get("n", 0)) < 0:
-            raise ValueError(f"count value {rec['value']} and n {rec.get('n')} must be at least 0")
-    elif kind == "diff":
-        what = rec["what"]
-        if type(what) is not str or what not in _DIFF_LISTS:
-            raise ValueError(f"no producer emits a diff of {what!r}")
-        if type(rec.get("matched", False)) is not bool:
-            raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
-        if rec.get("offset", 0) not in (0, 1):
-            raise ValueError(f"offset must be 0 or 1, got {rec['offset']}")
-        for name, shape in _DIFF_LISTS[what].items():
-            _check_ints(name, rec[name], shape)
-        if what == "bfile":
-            _verify_bfile_diff(rec)
-        else:
-            _verify_t0_oracle_diff(rec)
-    else:
-        raise DomainError(f"unknown record kind: {kind!r}")
+    elif kind in ("pair", "triple"):
+        m, n, k = rec["m"], rec["n"], rec["k"]
+        EisensteinTriple(m, n, k)
+        if "form" in rec:  # u, v and form generate (m, n, k) by the formulas of EisensteinTriple
+            u, v, form = rec["u"], rec["v"], rec["form"]
+            forms = {1: (v * v - u * u, 2 * u * v - u * u), 2: (2 * u * v - u * u, 2 * u * v - v * v)}
+            if form not in forms:
+                raise VerificationError(f"triple form must be 1 or 2, got {form}")
+            if (m, n) != forms[form] or k != zeta(u, v):
+                raise VerificationError(f"(m, n, k) = {(m, n, k)} is not form {form} of (u, v) = {(u, v)}")
+    elif key == ("diff", "bfile"):
+        if rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
+            raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
+                                    f"mismatches and {len(rec['missing'])} missing")
+    elif key == ("diff", "t0_oracle"):
+        # Each listed tetrahedron is a distinct member of T0(ell): a regular
+        # tetrahedron with a vertex at the origin and squared side 2*ell*ell.
+        want, seen = 2 * rec["ell"] ** 2, set()
+        for vertices in (*rec["missing"], *rec["extra"]):
+            if [0, 0, 0] not in vertices:
+                raise VerificationError(f"tetrahedron {vertices} has no vertex at the origin")
+            side_sq = verify_regular(*vertices)
+            if side_sq != want:
+                raise VerificationError(f"tetrahedron {vertices} has squared side {side_sq}, not {want}")
+            shape = tuple(sorted(map(tuple, vertices)))
+            if shape in seen:
+                raise VerificationError(f"tetrahedron {vertices} is listed twice")
+            seen.add(shape)
+    if kind in ("tetrahedron", "triangle") and side_sq != rec["side_sq"]:
+        raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
 
 
 def cmd_verify(args, out: Emitter) -> int:

@@ -188,9 +188,9 @@ def read_bfile(path) -> list[tuple[int, int]]:
     """Parse an OEIS b-file: one 'index value' pair per line.
 
     Blank lines and '#' comments are ignored; anything else malformed,
-    including bytes that are not UTF-8, raises DomainError with the
-    offending line number, and a file that cannot be read raises
-    DomainError naming it.
+    including bytes that are not UTF-8 and an index listed twice, raises
+    DomainError with the offending line number, and a file that cannot
+    be read raises DomainError naming it.
     """
     try:
         data = Path(path).read_bytes()
@@ -202,7 +202,7 @@ def read_bfile(path) -> list[tuple[int, int]]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DomainError(f"{path}:{lineno}: not UTF-8 text") from None
-    terms: list[tuple[int, int]] = []
+    terms: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -211,10 +211,13 @@ def read_bfile(path) -> list[tuple[int, int]]:
         if len(parts) != 2:
             raise DomainError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
         try:
-            terms.append((int(parts[0]), int(parts[1])))
+            index, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise DomainError(f"{path}:{lineno}: non-integer field in {raw!r}") from None
-    return terms
+        if index in terms:
+            raise DomainError(f"{path}:{lineno}: index {index} is listed twice")
+        terms[index] = value
+    return list(terms.items())
 
 
 @dataclass(frozen=True)

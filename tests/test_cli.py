@@ -418,7 +418,14 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
                 '{"kind":"diff","what":"bfile","offset":2,"matched":true}',
                 '{"kind":"diff","what":"bfile","offset":-1,"matched":true}',
                 '{"kind":"diff","what":"bfile","offset":0,"matched":false,"mismatches":[[1,1.5,2]],"missing":[]}',
-                '{"kind":"diff","what":"bfile","offset":0,"matched":false,"mismatches":[],"missing":[NaN]}'):
+                '{"kind":"diff","what":"bfile","offset":0,"matched":false,"mismatches":[],"missing":[NaN]}',
+                # Each record below lacks a field its producer writes, or has one it never writes.
+                '{"kind":"count","what":"grid_tetrahedra","n":2,"shape":"cube","value":18}',
+                '{"kind":"count","what":"grid_tetrahedra","shape":"tetra","value":18}',
+                '{"kind":"count","what":"verified_records","value":3,"ell":7}',
+                '{"kind":"tetrahedron","vertices":[[0,0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2}',
+                '{"kind":"quadruple","a":1,"b":1,"c":1,"d":1}',
+                '{"kind":"pair","m":8,"n":3,"k":7,"x":1}'):
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
         captured = capsys.readouterr()
@@ -436,8 +443,15 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
     # Each side drops a different tetrahedron of T0(ell), so the diff has one missing and one extra.
     monkeypatch.setattr(cli, "enumerate_t0", lambda ell: full(ell)[1:])
     monkeypatch.setattr(cli, "brute_t0", lambda ell: full_brute(ell)[:-1])
-    # Diff records with nonempty lists of both kinds, and every count what.
-    for argv in (["grid-count", "--n", "3", "--shape", "tetra", "--bfile", str(bfile)],
+    # Every producer, with diff records holding nonempty lists of both kinds.
+    keys = set()
+    for argv in (["solve3d2", "--d", "3"],
+                 ["omega", "--k", "7"],
+                 ["triples", "--kmax", "10"],
+                 ["triangles", "--quad", "1,1,1,1", "--m", "2", "--n", "1"],
+                 ["complete", "--quad", "1,-1,1,1", "--m", "3", "--n", "0", "--with-normals"],
+                 ["enumerate-t0", "--ell", "2"],
+                 ["grid-count", "--n", "3", "--shape", "tetra", "--bfile", str(bfile)],
                  ["grid-count", "--n", "2", "--shape", "triangle"],
                  ["oracle-compare", "--ell", "3"]):
         main(argv)
@@ -446,6 +460,10 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         path.write_text(path.read_text() + out)
         assert run(capsys, "verify", "--file", str(path))[0] == 0, argv
+        keys.update((r["kind"], r["what"]) if r["kind"] in ("count", "diff") else r["kind"]
+                    for r in records(path.read_text()))
+    # verify's table has a row for each record some producer writes, and no other.
+    assert keys == set(cli._ROWS)
     good = '{"kind":"pair","m":8,"n":3,"k":7}'
     bfile_diff = '{"kind":"diff","what":"bfile","offset":0,"shape":"tetra",'
     oracle_diff = '{"kind":"diff","what":"t0_oracle","ell":2,'
@@ -468,18 +486,24 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         bfile_diff + '"matched":false,"mismatches":[],"missing":3}',
         bfile_diff.replace('"tetra"', '"cube"') + '"matched":true,"mismatches":[],"missing":[]}',
         bfile_diff.replace('"shape":"tetra",', '') + '"matched":true,"mismatches":[],"missing":[]}',
+        bfile_diff.replace('"offset":0,', '') + '"matched":true,"mismatches":[],"missing":[]}',
     )
     disagreeing = (
         bfile_diff + '"matched":true,"mismatches":[[1,2,5]],"missing":[3]}',
         bfile_diff + '"matched":true,"mismatches":[],"missing":[3]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":[]}',
     )
-    # T0(2) holds {0, (2,2,0), (2,0,2), (0,2,2)}; these lists hold shapes outside it.
+    # T0(2) holds {0, (2,2,0), (2,0,2), (0,2,2)}; these lists hold shapes outside it,
+    # and the last two list one member of T0(1) twice, as compare never does.
+    cube = "[[0,0,0],[1,1,0],[1,0,1],[0,1,1]]"
+    twice = "tetrahedron [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]] is listed twice"
     outside_t0 = (
         (oracle_diff + '"missing":[[[0,0,0],[0,0,0],[0,0,0],[0,0,0]]],"extra":[]}', "degenerate"),
         (oracle_diff + '"missing":[],"extra":[[[0,0,0],[2,2,0],[2,0,2],[2,2,2]]]}', "|p0 p3|^2"),
         (oracle_diff + '"missing":[],"extra":[[[1,1,1],[3,3,1],[3,1,3],[1,3,3]]]}', "tetrahedron [[1, 1, 1]"),
         (oracle_diff + '"missing":[[[0,0,0],[1,1,0],[1,0,1],[0,1,1]]],"extra":[]}', "tetrahedron [[0, 0, 0]"),
+        ('{"kind":"diff","what":"t0_oracle","ell":1,"missing":[' + cube + '],"extra":[' + cube + "]}", twice),
+        ('{"kind":"diff","what":"t0_oracle","ell":1,"missing":[' + cube + "," + cube + '],"extra":[]}', twice),
     )
     cases = ([(bad, "malformed record") for bad in malformed]
              + [(bad, "matched is") for bad in disagreeing] + list(outside_t0))

@@ -179,6 +179,9 @@ def test_read_bfile_rejects_malformed_lines(tmp_path):
     path.write_text("0 zero\n")
     with pytest.raises(DomainError):
         read_bfile(path)
+    path.write_text("0 0\n1 99\n1 2\n2 18\n")
+    with pytest.raises(DomainError, match=f"{path}:3: index 1 is listed twice"):
+        read_bfile(path)
     with pytest.raises(DomainError, match="no such file"):
         read_bfile(tmp_path / "absent.txt")
     with pytest.raises(DomainError, match=f"cannot read {tmp_path}: Is a directory"):
