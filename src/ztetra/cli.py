@@ -20,6 +20,8 @@ from .eisenstein import EisensteinTriple, omega, primitive_triples, zeta
 from .errors import DomainError, UsageError, VerificationError, ZtetraError
 from .numtheory import INT64_MAX, NormalQuadruple, solve_three_d2
 from .oracle import (
+    BRUTE_T0_MAX,
+    GRID_GUARD,
     brute_t0,
     brute_tetrahedra_grid,
     brute_triangles_grid,
@@ -103,7 +105,7 @@ def _tetra_record(tet: LatticeTetrahedron, provenance: dict) -> dict:
 def _normal_set_record(fns: FaceNormalSet, provenance: dict) -> dict:
     return {
         "kind": "normal-set",
-        "faces": [[f.a, f.b, f.c, f.d] for f in fns.faces],
+        "faces": fns.faces,  # each face is the tuple (a, b, c, d)
         "provenance": provenance,
     }
 
@@ -215,25 +217,34 @@ _DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_
 
 _INT = ()  # the list shape of one integer
 
-# The fields of each record a producer writes, besides kind, what and an
-# optional provenance, keyed by kind, or by (kind, what) for count and diff
-# records.  A field is a list shape of integers (_INT one integer, (3,) a
-# list of three, (None, 3) any number of lists of three), an integer N for
-# any integer at least N, bool for a JSON boolean, or a set of allowed values.
+# The provenance objects of the producers that write one: triangles writes
+# its plane's quad and (r, s) with the pair (m, n); complete adds the sign of
+# the apex side, and enumerate-t0 writes its ell.
+_PLANE = {"quad": (4,), "r": _INT, "s": _INT, "m": _INT, "n": _INT}
+_COMPLETE = {**_PLANE, "sign": {1, -1}}
+
+# The fields of each record a producer writes, besides kind and what, keyed
+# by kind, or by (kind, what) for count and diff records.  A field is a list
+# shape of integers (_INT one integer, (3,) a list of three, (None, 3) any
+# number of lists of three), an integer N for any integer at least N, a
+# range of allowed integers, bool for a JSON boolean, a set of allowed
+# values, or a list of rows for an object holding exactly the fields of one
+# of them.  Only provenance, a field of that last kind, may be left out.
 _ROWS = {
-    "tetrahedron": {"vertices": (4, 3), "side_sq": _INT, "ell": 1},
-    "triangle": {"p": (3,), "q": (3,), "side_sq": _INT},
+    "tetrahedron": {"vertices": (4, 3), "side_sq": _INT, "ell": 1, "provenance": [{"ell": 1}, _COMPLETE]},
+    "triangle": {"p": (3,), "q": (3,), "side_sq": _INT, "provenance": [_PLANE]},
     "quadruple": {"a": _INT, "b": _INT, "c": _INT, "d": _INT, "q": _INT},
-    "normal-set": {"faces": (4, 4)},
+    "normal-set": {"faces": (4, 4), "provenance": [_COMPLETE]},
     "pair": {"m": _INT, "n": _INT, "k": _INT},
     "triple": {"m": _INT, "n": _INT, "k": _INT, "u": _INT, "v": _INT, "form": _INT},
     ("count", "tetrahedra_t0"): {"ell": 1, "value": 0},
-    ("count", "grid_tetrahedra"): {"n": 0, "shape": {"tetra"}, "value": 0},
-    ("count", "grid_triangles"): {"n": 0, "shape": {"triangle"}, "value": 0},
+    ("count", "grid_tetrahedra"): {"n": range(GRID_GUARD + 1), "shape": {"tetra"}, "value": 0},
+    ("count", "grid_triangles"): {"n": range(GRID_GUARD + 1), "shape": {"triangle"}, "value": 0},
     ("count", "verified_records"): {"value": 0},
     ("diff", "bfile"): {"shape": {"tetra", "triangle"}, "offset": {0, 1}, "matched": bool,
                         "mismatches": (None, 3), "missing": (None,)},
-    ("diff", "t0_oracle"): {"ell": 1, "missing": (None, 4, 3), "extra": (None, 4, 3)},
+    ("diff", "t0_oracle"): {"ell": range(1, BRUTE_T0_MAX + 1), "missing": (None, 4, 3),
+                            "extra": (None, 4, 3)},
 }
 
 
@@ -255,6 +266,16 @@ def _check_field(name: str, value, spec) -> None:
     elif type(spec) is int:
         if type(value) is not int or value < spec:
             raise ValueError(f"{name} must be an integer of at least {spec}, got {value!r}")
+    elif type(spec) is range:
+        if type(value) is not int or value not in spec:
+            raise ValueError(f"{name} must be an integer in [{spec[0]}, {spec[-1]}], got {value!r}")
+    elif type(spec) is list:
+        row = next((row for row in spec if type(value) is dict and value.keys() == row.keys()), None)
+        if row is None:
+            raise ValueError(f"{name} must hold exactly the fields of one of {[sorted(r) for r in spec]}, "
+                             f"got {value!r}")
+        for key, sub in row.items():
+            _check_field(f"{name}.{key}", value[key], sub)
     elif type(value) not in (int, str) or value not in spec:
         raise ValueError(f"{name} must be one of {sorted(spec)}, got {value!r}")
 
@@ -268,18 +289,26 @@ def _verify_record(rec: dict) -> None:
         raise ValueError(f"no producer emits a record of {key!r}")
     if kind == "triple" and rec.keys().isdisjoint(("u", "v", "form")):
         row = _ROWS["pair"]  # a triple's generators u, v and form are optional, as one group
-    for name, spec in row.items():
-        value = rec[name]
-        if spec is not _INT or type(value) is not int:
-            _check_field(name, value, spec)
     head = ("kind",) if key is kind else ("kind", "what")
-    if len(rec) - ("provenance" in rec) != len(row) + len(head):
-        extra = rec.keys() - {*row, *head, "provenance"}
+    known = len(head)
+    for name, spec in row.items():
+        if name in rec:
+            known += 1
+            value = rec[name]
+            if spec is not _INT or type(value) is not int:
+                _check_field(name, value, spec)
+        elif name != "provenance":
+            raise KeyError(name)
+    if len(rec) != known:
+        extra = rec.keys() - {*row, *head}
         raise ValueError(f"no producer writes {sorted(extra)} in a record of {key!r}")
     if kind == "tetrahedron":
         side_sq = verify_regular(*rec["vertices"])
-        if 2 * rec["ell"] ** 2 != side_sq:
-            raise VerificationError(f"recorded ell {rec['ell']} does not square to {side_sq}")
+        ell = rec["ell"]
+        if 2 * ell ** 2 != side_sq:
+            raise VerificationError(f"recorded ell {ell} does not square to {side_sq}")
+        if "provenance" in rec and rec["provenance"].get("ell", ell) != ell:
+            raise VerificationError(f"provenance ell {rec['provenance']['ell']} is not the recorded ell {ell}")
     elif kind == "triangle":
         side_sq = verify_equilateral(rec["p"], rec["q"])
     elif kind == "quadruple":

@@ -9,7 +9,7 @@ coprime positive pairs whose zeta value is a perfect square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 from .errors import DomainError, RangeError
@@ -54,8 +54,7 @@ def tau_orbit(m: int, n: int) -> set[Pair]:
     return orbit
 
 
-@dataclass(frozen=True)
-class EisensteinTriple:
+class EisensteinTriple(namedtuple("EisensteinTriple", "m n k u v form")):
     """A pair (m, n) whose zeta value is the perfect square k*k.
 
     u, v and form record how the generator produced the triple:
@@ -64,16 +63,14 @@ class EisensteinTriple:
     k = zeta(u, v).
     """
 
-    m: int
-    n: int
-    k: int
-    u: int | None = None
-    v: int | None = None
-    form: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or zeta(self.m, self.n) != self.k * self.k:
-            raise DomainError(f"(m, n, k) = {(self.m, self.n, self.k)} needs k >= 1 and zeta(m, n) == k**2")
+    def __new__(cls, m: int, n: int, k: int, u: int | None = None, v: int | None = None,
+                form: int | None = None) -> EisensteinTriple:
+        if k < 1 or zeta(m, n) != k * k:
+            raise DomainError(f"(m, n, k) = {(m, n, k)} needs k >= 1 and zeta(m, n) == k**2")
+        return tuple.__new__(cls, (m, n, k, u, v, form))
 
     def is_primitive(self) -> bool:
         return gcd(self.m, self.n) == 1
@@ -85,27 +82,27 @@ def primitive_triples(kmax: int) -> list[EisensteinTriple]:
     Generated from coprime (u, v) with u + v not divisible by 3: form 1
     applies when v > u, form 2 when v/2 < u < 2v; no (m, n) comes twice
     (swept up to TRIPLES_KMAX).  The tests pin completeness against a
-    brute-force scan.  Sorted by (k, m, n).  Time and memory are linear
-    in kmax, so kmax above TRIPLES_KMAX = 10**6 raises RangeError.
+    brute-force scan.  Sorted by (k, m, n).  Both forms need v > u/2,
+    and k = zeta(u, v) <= kmax bounds v by (u + sqrt(4*kmax - 3*u*u))/2,
+    so the walk visits only that part of the ellipse, about 0.9*kmax
+    pairs; kmax above TRIPLES_KMAX = 10**6 raises RangeError.
     """
     check_range("kmax", kmax, 1)
     if kmax > TRIPLES_KMAX:
         raise RangeError(f"kmax must be at most {TRIPLES_KMAX}, got {kmax}")
-    found: list[EisensteinTriple] = []
-    bound = isqrt(4 * kmax // 3) + 2
-    for u in range(1, bound + 1):
-        for v in range(1, bound + 1):
+    found: list[tuple[int, int, int, int, int, int]] = []
+    for u in range(1, isqrt(4 * kmax // 3) + 1):
+        for v in range(u // 2 + 1, (u + isqrt(4 * kmax - 3 * u * u)) // 2 + 1):
             if gcd(u, v) != 1 or (u + v) % 3 == 0:
                 continue
             k = zeta(u, v)
-            if k > kmax:
-                continue
             if v > u:
                 m, n = v * v - u * u, 2 * u * v - u * u
-                if m > 0 and n > 0 and gcd(m, n) == 1:
-                    found.append(EisensteinTriple(m, n, k, u, v, 1))
-            if 2 * v > u and 2 * u > v:
+                if gcd(m, n) == 1:
+                    found.append((k, m, n, u, v, 1))
+            if 2 * u > v:
                 m, n = 2 * u * v - u * u, 2 * u * v - v * v
-                if m > 0 and n > 0 and gcd(m, n) == 1:
-                    found.append(EisensteinTriple(m, n, k, u, v, 2))
-    return sorted(found, key=lambda t: (t.k, t.m, t.n))
+                if gcd(m, n) == 1:
+                    found.append((k, m, n, u, v, 2))
+    found.sort()
+    return [EisensteinTriple(m, n, k, u, v, form) for k, m, n, u, v, form in found]

@@ -8,14 +8,16 @@ Brent's cycle detection for what remains, which factors every accepted
 input (up to 2**63 - 1) in well under a second.  The Diophantine
 solvers read their solutions off that factorization in the Gaussian
 and Eisenstein integers instead of scanning for them: solve_two_q is
-the one (r, s) solver, and solve_three_d2 factors one number per odd
-a <= d, so d is capped at THREE_D2_DMAX.
+the one (r, s) solver, and solve_three_d2 factors every 3*d*d - a*a
+(odd a <= d) with one sieve over a, so its cost grows with d*d and d is
+capped at THREE_D2_DMAX.  The records are named tuples that validate
+in their constructor.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import count, permutations
 from math import gcd, isqrt
 
@@ -25,10 +27,13 @@ INT64_MAX = 2**63 - 1
 
 THREE_D2_DMAX = 10**5
 
-# Miller-Rabin to the first twelve prime bases is exact below this
-# bound, the smallest composite that passes all of them.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 3317044064679887385961981
+# Miller-Rabin to the first k prime bases is exact below the smallest
+# composite that passes all of them (OEIS A014233): (bound, k) pairs.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = ((3215031751, 4), (3474749660383, 6), (341550071728321, 7),
+             (3825123056546413051, 9), (318665857834031151167461, 12),
+             (3317044064679887385961981, 13))
+_MR_EXACT_BELOW = _MR_EXACT[-1][0]
 
 # t in theta*theta == t*theta - 1: the Gaussian integers Z[i] and the
 # Eisenstein integers Z[omega].
@@ -51,6 +56,30 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _primes_below(1000)
+# A rest with no prime factor below 1000 is 1 or a prime below 1000**2.
+_PRIME_BELOW = 1000 * 1000
+
+
+def _sqrt3(p: int) -> int | None:
+    """A square root of 3 modulo the odd prime p, or None if there is none.
+
+    For p > 3 there is one exactly when p == +-1 mod 12: one pow if p ==
+    11 mod 12, else g + 1/g for a primitive 12th root of unity g, found
+    as in _split_prime (g**4 - g*g + 1 == 0 gives (g + 1/g)**2 == 3).
+    """
+    if p % 12 == 11:
+        return pow(3, (p + 1) // 4, p)
+    if p % 12 != 1:
+        return 0 if p == 3 else None
+    for h in count(2):
+        g = pow(h, (p - 1) // 12, p)
+        if (g**4 - g * g + 1) % p == 0:
+            return (g + pow(g, -1, p)) % p
+
+
+# (p, a square root of 3 mod p or None) for the odd primes p below 1000,
+# the sieve table of _three_d2_factors.
+_SQRT3 = tuple((p, _sqrt3(p)) for p in _SMALL_PRIMES[1:])
 
 
 def check_range(name: str, value: int, low: int) -> None:
@@ -61,33 +90,28 @@ def check_range(name: str, value: int, low: int) -> None:
         raise RangeError(f"{name} must be in [{low}, 2**63 - 1], got {value}")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "value factors")):
     """Prime factorization: value == product of p**e over factors.
 
     factors is sorted by prime and every exponent is at least 1.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RSPair:
+class RSPair(namedtuple("RSPair", "r s q")):
     """Solution (r, s) of s*s + 3*r*r == 2*q for a fixed q."""
 
-    r: int
-    s: int
-    q: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.s * self.s + 3 * self.r * self.r != 2 * self.q:
-            raise DomainError(
-                f"(r, s) = {(self.r, self.s)} does not solve s^2 + 3r^2 = 2q for q = {self.q}")
+    def __new__(cls, r: int, s: int, q: int) -> RSPair:
+        if s * s + 3 * r * r != 2 * q:
+            raise DomainError(f"(r, s) = {(r, s)} does not solve s^2 + 3r^2 = 2q for q = {q}")
+        return tuple.__new__(cls, (r, s, q))
 
 
-@dataclass(frozen=True, order=True)
-class NormalQuadruple:
+class NormalQuadruple(namedtuple("NormalQuadruple", "a b c d")):
     """Solution (a, b, c, d) of a^2 + b^2 + c^2 == 3*d^2 with d odd.
 
     A primitive solution (gcd(a, b, c) == 1) is the normal direction of
@@ -99,17 +123,15 @@ class NormalQuadruple:
     construction legitimately rescales to non-primitive quadruples).
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.d % 2 == 0:
-            raise DomainError(f"d must be a positive odd integer, got {self.d}")
-        if self.a * self.a + self.b * self.b + self.c * self.c != 3 * self.d * self.d:
-            raise DomainError(
-                f"{(self.a, self.b, self.c)} does not satisfy a^2 + b^2 + c^2 = 3*{self.d}^2")
+    def __new__(cls, a: int, b: int, c: int, d: int) -> NormalQuadruple:
+        if d < 1 or d % 2 == 0:
+            raise DomainError(f"d must be a positive odd integer, got {d}")
+        if a * a + b * b + c * c != 3 * d * d:
+            raise DomainError(f"{(a, b, c)} does not satisfy a^2 + b^2 + c^2 = 3*{d}^2")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def q(self) -> int:
@@ -148,17 +170,27 @@ def _prime_factors(t: int) -> tuple[tuple[int, int], ...]:
     rest = t
     for p in _SMALL_PRIMES:
         if p * p > rest:
-            if rest > 1:
-                factors.append((rest, 1))
-            return tuple(factors)
+            break
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             factors.append((p, e))
-    if rest > 1:
+    return _finish(factors, rest)
+
+
+def _finish(factors: list[tuple[int, int]], rest: int) -> tuple[tuple[int, int], ...]:
+    """factors, then the factors of rest, as one tuple.
+
+    The caller has divided out of rest every prime below 1000, or every
+    prime up to sqrt(rest): so rest is 1, a prime, or, only from 1000**2
+    on, a product of primes above 1000 that _large_factors splits.
+    """
+    if rest >= _PRIME_BELOW:
         factors += _large_factors(rest)
+    elif rest > 1:
+        factors.append((rest, 1))
     return tuple(factors)
 
 
@@ -210,11 +242,13 @@ def _pollard_brent(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test to the bases 2, 3, ..., 37.
+    """Deterministic Miller-Rabin primality test to the bases 2, 3, ..., 41.
 
     Exact for every n below 3317044064679887385961981 (about 3.3*10**24,
     the smallest composite these bases pass), which covers every input
-    the package accepts; larger n raise RangeError.
+    the package accepts; larger n raise RangeError.  A smaller n is
+    tested only to the bases its bound in _MR_EXACT needs, four below
+    3215031751.
 
     >>> [n for n in (2**61 - 1, 3215031751, 341550071728321) if is_prime(n)]
     [2305843009213693951]
@@ -229,7 +263,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    k = next(k for bound, k in _MR_EXACT if n < bound)
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -383,7 +418,7 @@ def solve_three_d2(d: int) -> list[NormalQuadruple]:
     3*d*d == 3 mod 8, a primitive solution has a, b and c all odd, so
     for each odd a <= d the pairs (b, c) are the sums of two squares
     b*b + c*c == 3*d*d - a*a, read off the factorization of that number
-    in the Gaussian integers: one factorization per a.
+    in the Gaussian integers.  One sieve over a factors all of them.
     """
     check_range("d", d, 1)
     if d % 2 == 0:
@@ -401,11 +436,42 @@ def _base_triples(d: int) -> Iterator[tuple[int, int, int]]:
     Yielded one at a time, by increasing a; every other primitive
     solution is a signed permutation of exactly one of them.
     """
-    target = 3 * d * d
-    for a in range(1, d + 1, 2):
-        for b, c in _norm_elements(_prime_factors(target - a * a), _GAUSSIAN):
+    for a, factors in zip(range(1, d + 1, 2), _three_d2_factors(d)):
+        for b, c in _norm_elements(factors, _GAUSSIAN):
             if a <= b <= c and gcd(gcd(a, b), c) == 1:
                 yield a, b, c
+
+
+def _three_d2_factors(d: int) -> list[tuple[tuple[int, int], ...]]:
+    """_prime_factors(3*d*d - a*a) for a = 1, 3, ..., d (odd d), by one
+    sieve over a.
+
+    2 divides each exactly once, as 3*d*d - a*a == 2 mod 8.  An odd
+    prime p divides it exactly when a == +-r mod p with r*r == 3*d*d:
+    r == 0 if p divides 3*d, r == d*sqrt(3) if 3 is a square mod p, and
+    no r otherwise.  The odd a == r mod p sit at a // 2 in steps of p.
+    Sieving the odd primes below 1000 up to sqrt(3*d*d) leaves rests
+    that _finish completes as it does for _prime_factors.
+    """
+    target = 3 * d * d
+    rests = [(target - a * a) >> 1 for a in range(1, d + 1, 2)]
+    factors = [[(2, 1)] for _ in rests]
+    size = len(rests)
+    for p, root3 in _SQRT3:
+        if p * p > target:
+            break
+        if root3 is None and d % p:
+            continue
+        r = d * (root3 or 0) % p
+        for root in {r, -r % p}:
+            for i in range((root if root % 2 else root + p) // 2, size, p):
+                rest, e = rests[i] // p, 1
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                rests[i] = rest
+                factors[i].append((p, e))
+    return [_finish(f, rest) for f, rest in zip(factors, rests)]
 
 
 def _coset_maps(normal: tuple[int, int, int]) -> dict[tuple[int, int, int], tuple[int, ...]]:

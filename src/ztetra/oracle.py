@@ -12,8 +12,8 @@ scans at desk scale unless explicitly overridden.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import isqrt
 from operator import attrgetter
 from pathlib import Path
@@ -166,12 +166,10 @@ def brute_t0(ell: int) -> list[LatticeTetrahedron]:
     return sorted(tets, key=attrgetter("vertices"))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(namedtuple("ComparisonReport", "missing extra")):
     """Difference between a parametrized set and the brute-force referee."""
 
-    missing: tuple
-    extra: tuple
+    __slots__ = ()
 
     def is_empty(self) -> bool:
         return not self.missing and not self.extra
@@ -220,8 +218,7 @@ def read_bfile(path) -> list[tuple[int, int]]:
     return list(terms.items())
 
 
-@dataclass(frozen=True)
-class OffsetReport:
+class OffsetReport(namedtuple("OffsetReport", "offset mismatches missing")):
     """Comparison of our counts against b-file terms under one index offset.
 
     Offset o matches our grid size n against file index n + o.
@@ -229,9 +226,7 @@ class OffsetReport:
     lists grid sizes the file does not cover at this offset.
     """
 
-    offset: int
-    mismatches: tuple[tuple[int, int, int], ...]
-    missing: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def matched(self) -> bool:

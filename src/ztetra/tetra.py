@@ -12,8 +12,8 @@ rational orthogonal structure any such tetrahedron carries.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import attrgetter
 
@@ -42,17 +42,14 @@ from .triangle import (
 _VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True, order=True)
-class LatticeTetrahedron:
+class LatticeTetrahedron(namedtuple("LatticeTetrahedron", "vertices side_sq ell")):
     """Regular tetrahedron with vertices in canonical sorted order.
 
     The squared side is always twice a perfect square, recorded as ell,
     so side_sq == 2 * ell * ell.
     """
 
-    vertices: tuple[Point, Point, Point, Point]
-    side_sq: int
-    ell: int
+    __slots__ = ()
 
     @classmethod
     def from_vertices(cls, pts) -> "LatticeTetrahedron":
@@ -66,15 +63,15 @@ class LatticeTetrahedron:
         return cls(verts, side_sq, ell)
 
 
-@dataclass(frozen=True)
-class FaceNormalSet:
+class FaceNormalSet(namedtuple("FaceNormalSet", "faces")):
     """Outward primitive face normals of a tetrahedron.
 
-    faces[i] belongs to the face opposite the i-th canonical vertex;
-    its d value is odd and divides the side parameter ell.
+    faces holds four NormalQuadruples; faces[i] belongs to the face
+    opposite the i-th canonical vertex, and its d value is odd and
+    divides the side parameter ell.
     """
 
-    faces: tuple[NormalQuadruple, NormalQuadruple, NormalQuadruple, NormalQuadruple]
+    __slots__ = ()
 
 
 def verify_regular(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
@@ -247,7 +244,7 @@ def verify_orthogonality(fns: FaceNormalSet) -> bool:
     a_i*a_j + b_i*b_j + c_i*c_j + d_i*d_j == 0).  Only rows are checked:
     M is real and square (d_i >= 1), so M*M^T == I implies M^T*M == I.
     """
-    rows = [(f.a, f.b, f.c, f.d) for f in fns.faces]
+    rows = fns.faces  # each face is the tuple (a, b, c, d)
     for i, vi in enumerate(rows):
         for j in range(i, 4):
             vj = rows[j]

@@ -12,7 +12,7 @@ independent arbiter the rest of the package leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .eisenstein import zeta
 from .errors import ConstructionError, DomainError, VerificationError
@@ -43,28 +43,22 @@ def dist_sq(p: Point, q: Point) -> int:
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
 
 
-@dataclass(frozen=True)
-class LatticeTriangle:
+class LatticeTriangle(namedtuple("LatticeTriangle", "p q side_sq")):
     """Equilateral triangle with vertices at the origin, p and q."""
 
-    p: Point
-    q: Point
-    side_sq: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
+class CoeffMatrix(namedtuple("CoeffMatrix", "quad rs u v")):
     """The two lattice generators u and v of one plane, built from rs.
 
     The triangle with parameters (m, n) has free vertices
     P(m, n) = m*u - n*v and Q(m, n) = P(m - n, m), Q being P rotated by
     60 degrees within the plane; its squared side is 2 * d*d * zeta(m, n).
+    quad is the plane's NormalQuadruple and rs the RSPair it came from.
     """
 
-    quad: NormalQuadruple
-    rs: RSPair
-    u: Point
-    v: Point
+    __slots__ = ()
 
     def point_p(self, m: int, n: int) -> Point:
         u, v = self.u, self.v

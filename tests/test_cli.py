@@ -515,6 +515,64 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         assert captured.err.startswith(f"error: {path}:2: {reason}"), (bad, captured.err)
 
 
+def verify_lines(capsys, tmp_path, *lines):
+    """Exit code and stderr of verify on a file of the given lines."""
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    code = main(["verify", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 or captured.out == ""
+    return code, captured.err.replace(str(path), "<file>")
+
+
+def test_verify_bounds_a_grid_count_by_the_grid_cap(capsys, tmp_path):
+    # grid-count rejects n above GRID_GUARD = 6, so no producer writes such a count.
+    count = '{"kind":"count","what":"grid_tetrahedra","n":%d,"shape":"tetra","value":1}'
+    assert verify_lines(capsys, tmp_path, count % 6)[0] == 0
+    assert verify_lines(capsys, tmp_path, count % 9) == (
+        1, "error: <file>:1: malformed record (n must be an integer in [0, 6], got 9)\n")
+
+
+def test_verify_bounds_an_oracle_diff_by_the_brute_force_cap(capsys, tmp_path):
+    # oracle-compare rejects ell above BRUTE_T0_MAX = 100.
+    diff = '{"kind":"diff","what":"t0_oracle","ell":%d,"missing":[],"extra":[]}'
+    assert verify_lines(capsys, tmp_path, diff % 100)[0] == 0
+    assert verify_lines(capsys, tmp_path, diff % 101) == (
+        1, "error: <file>:1: malformed record (ell must be an integer in [1, 100], got 101)\n")
+
+
+def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):
+    tet = '{"kind":"tetrahedron","vertices":[[0,0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2,"ell":1'
+    tri = '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2'
+    plane = '"quad":[1,1,1,1],"r":0,"s":-2,"m":1,"n":0'
+    normals = '{"kind":"normal-set","faces":[[1,1,1,1],[-1,-1,1,1],[-1,1,-1,1],[1,-1,-1,1]]'
+    # What enumerate-t0, triangles and complete write, and no provenance at all.
+    good = (tet + ',"provenance":{"ell":1}}', tet + ',"provenance":{' + plane + ',"sign":1}}', tet + "}",
+            tri + ',"provenance":{' + plane + "}}", tri + "}",
+            normals + ',"provenance":{' + plane + ',"sign":-1}}', normals + "}")
+    assert verify_lines(capsys, tmp_path, *good)[0] == 0
+    malformed = (
+        tet + ',"provenance":{"ell":5,"bogus":[1]}}',
+        tet + ',"provenance":{"ell":0}}',
+        tet + ',"provenance":{' + plane + "}}",
+        tet + ',"provenance":{' + plane + ',"sign":0}}',
+        tet + ',"provenance":null}',
+        tri + ',"provenance":{' + plane + ',"sign":1}}',
+        tri + ',"provenance":{"quad":[1,1,1],"r":0,"s":-2,"m":1,"n":0}}',
+        normals + ',"provenance":{"ell":1}}',
+        '{"kind":"quadruple","a":1,"b":1,"c":1,"d":1,"q":2,"provenance":{}}',
+        '{"kind":"pair","m":8,"n":3,"k":7,"provenance":{"ell":7}}',
+        '{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":2,"provenance":{}}',
+        '{"kind":"count","what":"tetrahedra_t0","ell":1,"value":8,"provenance":{"ell":1}}',
+    )
+    for bad in malformed:
+        code, err = verify_lines(capsys, tmp_path, good[0], bad)
+        assert code == 1 and err.startswith("error: <file>:2: malformed record ("), (bad, err)
+    # enumerate-t0 records its own ell as the provenance.
+    assert verify_lines(capsys, tmp_path, tet + ',"provenance":{"ell":5}}') == (
+        1, "error: <file>:1: provenance ell 5 is not the recorded ell 1\n")
+
+
 def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
     path = tmp_path / "pairs.jsonl"
     good = '{"kind":"pair","m":8,"n":3,"k":7}'

@@ -162,6 +162,39 @@ def test_primitive_triples_matches_brute_force():
     assert got == want
 
 
+def referee_primitive_triples(kmax):
+    """The square scan primitive_triples replaced: every (u, v) up to
+    isqrt(4*kmax/3) + 2 in both coordinates, as (m, n, k, u, v, form)."""
+    found = []
+    bound = isqrt(4 * kmax // 3) + 2
+    for u in range(1, bound + 1):
+        for v in range(1, bound + 1):
+            if gcd(u, v) != 1 or (u + v) % 3 == 0:
+                continue
+            k = zeta(u, v)
+            if k > kmax:
+                continue
+            if v > u:
+                m, n = v * v - u * u, 2 * u * v - u * u
+                if m > 0 and n > 0 and gcd(m, n) == 1:
+                    found.append((m, n, k, u, v, 1))
+            if 2 * v > u and 2 * u > v:
+                m, n = 2 * u * v - u * u, 2 * u * v - v * v
+                if m > 0 and n > 0 and gcd(m, n) == 1:
+                    found.append((m, n, k, u, v, 2))
+    return sorted(found, key=lambda t: (t[2], t[0], t[1]))
+
+
+def test_primitive_triples_match_the_square_scan_for_every_kmax_to_3000():
+    # The walk's (u, v) ranges only grow with kmax, so its output does too,
+    # while the scan's changes only at the k of a triple.  Equality at each
+    # such k, at k - 1 and at 3000 therefore gives equality at every kmax.
+    want = referee_primitive_triples(3000)
+    ks = {k for _, _, k, _, _, _ in want}
+    for kmax in sorted({*ks, *(k - 1 for k in ks), 3000} - {0}):
+        assert primitive_triples(kmax) == [t for t in want if t[2] <= kmax], kmax
+
+
 def test_primitive_triples_record_their_generators():
     for t in primitive_triples(40):
         assert gcd(t.u, t.v) == 1

@@ -25,11 +25,11 @@ from ztetra import (
     solve_three_d2,
     solve_two_q,
 )
-from ztetra.numtheory import INT64_MAX, check_range
+from ztetra.numtheory import INT64_MAX, _SQRT3, _prime_factors, _three_d2_factors, check_range
 
 # Composites that pass Miller-Rabin to every prime base up to 7, 11,
-# 13, 19 and 31 respectively: a shorter base set than 2..37 would call
-# some of them prime.
+# 13, 19 and 31 respectively: is_prime sizes its base set by n, and a
+# set shorter than the one each needs would call it prime.
 STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
                        3825123056546413051)
 
@@ -203,7 +203,10 @@ def test_factorize_is_fast_on_large_primes_and_semiprimes():
 
 
 def test_is_prime_rejects_values_beyond_its_exact_range():
-    # The largest prime below the bound, then the composite that sets it.
+    # The smallest composite that passes the bases 2..37 (OEIS A014233) is
+    # caught by 41; then the largest prime below the bound, and the
+    # composite that sets it.
+    assert not is_prime(318665857834031151167461)
     assert is_prime(3317044064679887385961813)
     with pytest.raises(RangeError):
         is_prime(3317044064679887385961981)
@@ -373,6 +376,13 @@ def test_solve_three_d2_matches_scan():
         assert [u.normal for u in solve_three_d2(d)] == referee_three_d2(d), d
 
 
+def test_three_d2_sieve_matches_trial_division():
+    for p, root in _SQRT3:
+        assert (root * root - 3) % p == 0 if root is not None else pow(3, (p - 1) // 2, p) == p - 1
+    for d in range(1, 302, 2):
+        assert _three_d2_factors(d) == [_prime_factors(3 * d * d - a * a) for a in range(1, d + 1, 2)], d
+
+
 def test_solve_three_d2_count_matches_the_product_formula():
     # |Q(d)| = 4d * prod over primes p | d of (1 - chi(p)/p), where chi(p)
     # is +1 for p = 1 mod 3, -1 for p = 2 mod 3 and 0 for p = 3.
@@ -414,14 +424,15 @@ def test_solve_three_d2_caps_d(monkeypatch):
     with pytest.raises(RangeError, match="at most 100000"):
         solve_three_d2(10**5 + 1)
     # 99999 passes the bound: the scan starts and is stopped at its
-    # first factorization, so no full scan runs.
+    # first step, the sieve, so no full scan runs.
 
     class Started(Exception):
         pass
 
-    def stop(t):
+    def stop(d):
+        assert d == 10**5 - 1
         raise Started
 
-    monkeypatch.setattr(numtheory, "_prime_factors", stop)
+    monkeypatch.setattr(numtheory, "_three_d2_factors", stop)
     with pytest.raises(Started):
         solve_three_d2(10**5 - 1)

@@ -2,6 +2,8 @@
 imports only the public names of the package."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,11 @@ def test_cli_imports_no_private_name():
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ztetra"):
             private = [alias.name for alias in node.names if alias.name.startswith("_")]
             assert not private, (node.module, private)
+
+
+def test_import_loads_no_dataclasses():
+    # The records are named tuples; dataclasses would only add import time.
+    probe = "import sys, ztetra, ztetra.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(ztetra.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "False\n"
