@@ -329,6 +329,8 @@ def _verify_record(rec: dict) -> None:
                 raise VerificationError(f"triple form must be 1 or 2, got {form}")
             if (m, n) != forms[form] or k != zeta(u, v):
                 raise VerificationError(f"(m, n, k) = {(m, n, k)} is not form {form} of (u, v) = {(u, v)}")
+    elif key == ("count", "tetrahedra_t0") and rec["value"] != count_t0(rec["ell"]):
+        raise VerificationError(f"recorded value {rec['value']} != {count_t0(rec['ell'])} = |T0({rec['ell']})|")
     elif key == ("diff", "bfile"):
         if rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
             raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
@@ -424,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("enumerate-t0", parents=[common],
-                       help="all origin tetrahedra with squared side 2*ell^2 "
-                       "(the odd part of ell at most 10^5)")
+                       help="all origin tetrahedra with squared side 2*ell^2 (the odd part of ell "
+                       "at most 10^5); --count-only counts them for any ell <= 2^63 - 1")
     p.add_argument("--ell", type=checked_int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate_t0)

@@ -60,26 +60,10 @@ _SMALL_PRIMES = _primes_below(1000)
 _PRIME_BELOW = 1000 * 1000
 
 
-def _sqrt3(p: int) -> int | None:
-    """A square root of 3 modulo the odd prime p, or None if there is none.
-
-    For p > 3 there is one exactly when p == +-1 mod 12: one pow if p ==
-    11 mod 12, else g + 1/g for a primitive 12th root of unity g, found
-    as in _split_prime (g**4 - g*g + 1 == 0 gives (g + 1/g)**2 == 3).
-    """
-    if p % 12 == 11:
-        return pow(3, (p + 1) // 4, p)
-    if p % 12 != 1:
-        return 0 if p == 3 else None
-    for h in count(2):
-        g = pow(h, (p - 1) // 12, p)
-        if (g**4 - g * g + 1) % p == 0:
-            return (g + pow(g, -1, p)) % p
-
-
-# (p, a square root of 3 mod p or None) for the odd primes p below 1000,
-# the sieve table of _three_d2_factors.
-_SQRT3 = tuple((p, _sqrt3(p)) for p in _SMALL_PRIMES[1:])
+# (p, a square root of 3 mod p or None) for the odd primes p below 1000, the sieve
+# table of _three_d2_factors; p > 3 has one iff p == +-1 mod 12 (quadratic reciprocity).
+_SQRT3 = tuple((p, next(r for r in range(p) if r * r % p == 3) if p % 12 in (1, 11) else 0 if p == 3 else None)
+               for p in _SMALL_PRIMES[1:])
 
 
 def check_range(name: str, value: int, low: int) -> None:

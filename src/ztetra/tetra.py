@@ -6,16 +6,15 @@ sits at the triangle centroid displaced by (2k/3)(a, b, c) on one or
 both sides of the plane.  enumerate_t0 walks one plane per orbit of
 the 48 signed coordinate permutations and every parameter producing
 squared side 2*ell*ell, mapping what it builds onto the rest of each
-orbit, while face_normals and verify_orthogonality recover the exact
-rational orthogonal structure any such tetrahedron carries.
+orbit, and count_t0 counts that set from the factorization of ell.
+face_normals and verify_orthogonality recover the exact rational
+orthogonal structure any such tetrahedron carries.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
-from math import gcd, isqrt
-from operator import attrgetter
+from math import gcd, isqrt, prod
 
 from .eisenstein import omega, zeta
 from .errors import ConstructionError, DomainError, RangeError, VerificationError
@@ -25,6 +24,7 @@ from .numtheory import (
     _base_triples,
     _coset_maps,
     check_range,
+    factorize,
     solve_three_d2,
 )
 from .triangle import (
@@ -169,26 +169,14 @@ def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
     the triangles and apexes of the base plane one-to-one onto those of
     the image plane, and the canonical-face rule is applied to the image.
 
-    The counts start 8, 8, 40, 8, 56 for ell = 1..5.  The largest d is
-    the odd part of ell, so an odd part above THREE_D2_DMAX raises
-    RangeError up front.
+    The largest d is the odd part of ell, so an odd part above
+    THREE_D2_DMAX raises RangeError up front; count_t0 has no such cap.
     """
-    return sorted(_walk_t0(ell), key=attrgetter("vertices"))
-
-
-def count_t0(ell: int) -> int:
-    """len(enumerate_t0(ell)), counted off the walk without holding the list."""
-    return sum(1 for _ in _walk_t0(ell))
-
-
-def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
-    """The one-pass walk behind enumerate_t0: each base plane's triangles
-    and apexes are built once, mapped onto every plane of its orbit, and
-    each image yields one tetrahedron per canonical face."""
     check_range("ell", ell, 1)
     odd = ell >> ((ell & -ell).bit_length() - 1)
     if odd > THREE_D2_DMAX:
         raise RangeError(f"the odd part of ell must be at most {THREE_D2_DMAX}, got {odd}")
+    tets: list[LatticeTetrahedron] = []
     for d in range(1, odd + 1, 2):
         if odd % d:
             continue
@@ -205,7 +193,34 @@ def _walk_t0(ell: int) -> Iterator[LatticeTetrahedron]:
                     for _, apex in apexes:
                         top = (apex[i0], s1 * apex[i1], s2 * apex[i2])
                         if top > gp and top > gq:
-                            yield LatticeTetrahedron.from_vertices((ORIGIN, gp, gq, top))
+                            tets.append(LatticeTetrahedron.from_vertices((ORIGIN, gp, gq, top)))
+    tets.sort()  # by vertices, the first field, which no two members share
+    return tets
+
+
+def count_t0(ell: int) -> int:
+    """len(enumerate_t0(ell)) for any ell <= 2**63 - 1, from its factorization.
+
+    Each tetrahedron has three faces through the origin.  Each face is the
+    (m, n) triangle of one sign-canonical plane at an odd scale d | ell,
+    with (m, n) in omega(k) for k = ell // d, and has two apexes when 3 | k,
+    else one.  So 3*|T0(ell)| = sum over odd d | ell of |Q(d)| * |omega(k)|
+    * (2 if 3 | k else 1), where |Q(d)| = len(solve_three_d2(d)) = 4*d *
+    prod over p | d of (1 - chi(p)/p) (chi(p) = 0, 1, -1 for p = 3, p == 1,
+    p == 2 mod 3; half the classical count of primitive representations of
+    3*d*d as three squares, Grosswald 1985) and |omega(k)| = 6 * prod over
+    p**e || k, p == 1 mod 3, of (2*e + 1).  Both are multiplicative in the
+    odd part of ell and ignore its factors of 2, so the sum is 24 times a
+    product of one sum over j <= e per odd p**e || ell, and each comes to
+    p**e + 2*(p**e - 1)/(p - 1).  The count may exceed 2**63 - 1.
+
+    >>> [count_t0(e) for e in range(1, 6)]
+    [8, 8, 40, 8, 56]
+    >>> count_t0(98175)
+    3290040
+    """
+    check_range("ell", ell, 1)
+    return 8 * prod(p**e + 2 * (p**e - 1) // (p - 1) for p, e in factorize(ell).factors if p > 2)
 
 
 def face_normals(tet: LatticeTetrahedron) -> FaceNormalSet:

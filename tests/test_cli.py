@@ -279,13 +279,23 @@ def test_grid_count_rejects_a_bfile_directory(capsys, tmp_path):
 
 def test_enumerate_t0_rejects_a_large_odd_part_at_once(capsys):
     start = time.perf_counter()
-    code = main(["enumerate-t0", "--ell", "100001", "--count-only"])
+    code = main(["enumerate-t0", "--ell", "100001"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 1
     assert elapsed < 1.0
     assert captured.out == ""
     assert "the odd part of ell must be at most 100000" in captured.err
+
+
+def test_enumerate_t0_count_only_takes_any_ell(capsys):
+    # The odd-part cap is the enumeration's; the count comes from the factorization.
+    for ell, value in ((100001, 945672), (98175, 3290040), (2**63 - 1, 102754744433239509000)):
+        start = time.perf_counter()
+        code, out = run(capsys, "enumerate-t0", "--ell", str(ell), "--count-only")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert records(out) == [{"kind": "count", "what": "tetrahedra_t0", "ell": ell, "value": value}]
 
 
 def test_triples_rejects_kmax_above_the_bound(capsys):
@@ -440,9 +450,6 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
     bfile = tmp_path / "b.txt"
     bfile.write_text("0 0\n1 5\n2 18\n")
     full, full_brute = cli.enumerate_t0, cli.brute_t0
-    # Each side drops a different tetrahedron of T0(ell), so the diff has one missing and one extra.
-    monkeypatch.setattr(cli, "enumerate_t0", lambda ell: full(ell)[1:])
-    monkeypatch.setattr(cli, "brute_t0", lambda ell: full_brute(ell)[:-1])
     # Every producer, with diff records holding nonempty lists of both kinds.
     keys = set()
     for argv in (["solve3d2", "--d", "3"],
@@ -454,6 +461,11 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
                  ["grid-count", "--n", "3", "--shape", "tetra", "--bfile", str(bfile)],
                  ["grid-count", "--n", "2", "--shape", "triangle"],
                  ["oracle-compare", "--ell", "3"]):
+        if argv[0] == "oracle-compare":
+            # Each side drops a different tetrahedron of T0(ell), so the diff has one missing and
+            # one extra.  Patched last: enumerate-t0 would write a count verify rejects.
+            monkeypatch.setattr(cli, "enumerate_t0", lambda ell: full(ell)[1:])
+            monkeypatch.setattr(cli, "brute_t0", lambda ell: full_brute(ell)[:-1])
         main(argv)
         path.write_text(capsys.readouterr().out)
         code, out = run(capsys, "verify", "--file", str(path))
@@ -523,6 +535,15 @@ def verify_lines(capsys, tmp_path, *lines):
     captured = capsys.readouterr()
     assert code == 0 or captured.out == ""
     return code, captured.err.replace(str(path), "<file>")
+
+
+def test_verify_recounts_t0(capsys, tmp_path):
+    count = '{"kind":"count","what":"tetrahedra_t0","ell":%d,"value":%d}'
+    assert verify_lines(capsys, tmp_path, count % (3, 40), count % (2**63 - 1, 102754744433239509000))[0] == 0
+    assert verify_lines(capsys, tmp_path, count % (3, 41)) == (
+        1, "error: <file>:1: recorded value 41 != 40 = |T0(3)|\n")
+    code, err = verify_lines(capsys, tmp_path, count % (2**63, 8))
+    assert code == 1 and err.startswith("error: <file>:1: ell must be in [1, 2**63 - 1]"), err
 
 
 def test_verify_bounds_a_grid_count_by_the_grid_cap(capsys, tmp_path):

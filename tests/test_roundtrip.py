@@ -72,9 +72,20 @@ def valid(rec):
         # The rows v / (2d) form an orthogonal matrix, checked from both sides.
         rows = [[Fraction(x, 2 * f[3]) for x in f] for f in faces]
         return orthonormal(rows) and orthonormal(list(zip(*rows)))
-    assert kind == "count", kind
-    # A count's value is not recomputed, but no producer emits ell < 1 or value < 0.
-    return rec.get("ell", 1) >= 1 and rec["value"] >= 0
+    assert kind == "count" and rec["what"] == "tetrahedra_t0", rec
+    # |T0(ell)| = 8 * prod over odd p^k exactly dividing ell of (p^k + 2(p^k - 1)/(p - 1)).
+    want, rest, p = 8, rec["ell"], 3
+    if rest < 1:
+        return False
+    while rest % 2 == 0:
+        rest //= 2
+    while rest > 1:
+        pk = 1
+        while rest % p == 0:
+            rest, pk = rest // p, pk * p
+        want *= pk + 2 * (pk - 1) // (p - 1)
+        p += 2
+    return rec["value"] == want
 
 
 def numeric_paths(rec):

@@ -1,5 +1,6 @@
 """Tetrahedron completion, enumeration, face normals and their identities."""
 
+import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -34,7 +35,6 @@ from ztetra import (
     zeta,
 )
 from ztetra.numtheory import _base_triples, _coset_maps
-from ztetra.tetra import _walk_t0
 from ztetra.triangle import ORIGIN, cross, dist_sq, dot, sub
 
 UNIT_QUAD = NormalQuadruple(1, 1, 1, 1)
@@ -157,19 +157,20 @@ def test_enumerate_t0_counts():
 
 
 def test_count_t0_matches_the_closed_form():
-    # |T0(ell)| = 8 * prod over odd prime powers p^k exactly dividing ell
-    # of (p^k + 2(p^k - 1)/(p - 1)); factors of 2 do not change it.
-    for ell in range(1, 101):
-        want, rest, p = 8, ell, 3
-        while rest % 2 == 0:
-            rest //= 2
-        while rest > 1:
-            pk = 1
-            while rest % p == 0:
-                rest, pk = rest // p, pk * p
-            want *= pk + 2 * (pk - 1) // (p - 1)
-            p += 2
-        assert count_t0(ell) == want, ell
+    # The walk is the referee of the product formula, and so is its
+    # derivation: 3*|T0(ell)| = sum over odd d | ell of |Q(d)| * |omega(k)|
+    # * (2 if 3 | k else 1), k = ell // d.
+    quads = {d: len(solve_three_d2(d)) for d in range(1, 151, 2)}
+    for ell in range(1, 151):
+        split = sum(quads[d] * len(omega(ell // d)) * (2 if ell // d % 3 == 0 else 1)
+                    for d in range(1, ell + 1, 2) if ell % d == 0)
+        assert 3 * count_t0(ell) == 3 * len(enumerate_t0(ell)) == split, ell
+
+
+def test_count_t0_answers_the_largest_ell_at_once():
+    start = time.perf_counter()
+    assert count_t0(2**63 - 1) == 102754744433239509000  # 7^2 * 73 * 127 * 337 * 92737 * 649657
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_t0_members_are_origin_tetrahedra():
@@ -184,16 +185,18 @@ def test_enumerate_t0_members_are_origin_tetrahedra():
 def test_enumerate_t0_caps_the_odd_part_of_ell(monkeypatch):
     from ztetra import tetra
 
+    # The cap is the enumeration's: count_t0 answers from the product
+    # formula, 8 * (11 + 2) * (9091 + 2) above it.
     for ell in (10**5 + 1, 2**20 * (10**5 + 1)):
         with pytest.raises(RangeError, match="odd part of ell"):
             enumerate_t0(ell)
-        with pytest.raises(RangeError, match="odd part of ell"):
-            count_t0(ell)
+        assert count_t0(ell) == 945672
     # Only odd divisors are walked, so a power of two is a scaled T0(1).
     assert count_t0(2**60) == len(enumerate_t0(2**60)) == 8
 
     # An odd part at the cap passes: the walk starts and is stopped at
-    # its first omega call, so no full walk runs.
+    # its first omega call, so no full walk runs.  99999 = 3^2 * 41 * 271
+    # counts 8 * (9 + 8) * (41 + 2) * (271 + 2).
     class Started(Exception):
         pass
 
@@ -204,8 +207,7 @@ def test_enumerate_t0_caps_the_odd_part_of_ell(monkeypatch):
     for ell in (10**5 - 1, 2**20 * (10**5 - 1)):
         with pytest.raises(Started):
             enumerate_t0(ell)
-        with pytest.raises(Started):
-            count_t0(ell)
+        assert count_t0(ell) == 1596504
 
 
 def test_enumerate_t0_is_deterministic():
@@ -214,7 +216,7 @@ def test_enumerate_t0_is_deterministic():
 
 def test_one_pass_walk_emits_each_tetrahedron_once():
     for ell in range(1, 61):
-        walk = list(_walk_t0(ell))
+        walk = enumerate_t0(ell)
         assert len(walk) == len(set(walk)), ell
 
 
@@ -298,7 +300,7 @@ def full_plane_referee(ell):
 
 def test_orbit_walk_matches_the_full_plane_referee():
     for ell in (*range(1, 61), 165, 315):
-        walk = list(_walk_t0(ell))
+        walk = enumerate_t0(ell)
         assert len(walk) == len(set(walk)), ell
         assert set(walk) == full_plane_referee(ell), ell
 
@@ -334,7 +336,7 @@ def test_orbit_walk_builds_one_plane_per_orbit(monkeypatch):
 
     monkeypatch.setattr(tetra, "coeff_matrix", counted("coeff_matrix", tetra.coeff_matrix))
     monkeypatch.setattr(tetra, "_apexes", counted("_apexes", tetra._apexes))
-    assert count_t0(555) == 10920
+    assert len(enumerate_t0(555)) == 10920
     divisors = [d for d in range(1, 556, 2) if 555 % d == 0]
     bases = {d: len(list(_base_triples(d))) for d in divisors}
     assert calls["coeff_matrix"] == sum(bases.values())
