@@ -1,8 +1,11 @@
 """Command line interface emitting line-delimited structured records.
 
-Every subcommand prints one JSON object per line with stable field
-names, sorted keys and no whitespace, so identical arguments give
-byte-identical output across runs.  --format csv is a
+Every subcommand prints one JSON object per line with sorted keys and
+no whitespace, so identical arguments give byte-identical output across
+runs.  A record is the fields of its library named tuple (_asdict) plus
+a kind and what is not a field: a quadruple's q, a b-file diff's matched,
+a provenance.  One encoder writes every record except the enumerate-t0
+tetrahedra, which fill in the template _T0_LINE.  --format csv is a
 flat alternative for count records.  Exit codes: 0 success, 1 domain or
 verification failure (including a nonempty oracle diff), 2 usage errors.
 """
@@ -16,9 +19,9 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .eisenstein import EisensteinTriple, omega, primitive_triples, zeta
+from .eisenstein import TRIPLES_KMAX, EisensteinTriple, omega, primitive_triples, zeta
 from .errors import DomainError, UsageError, VerificationError, ZtetraError
-from .numtheory import INT64_MAX, NormalQuadruple, solve_three_d2
+from .numtheory import INT64_MAX, THREE_D2_DMAX, NormalQuadruple, solve_three_d2
 from .oracle import (
     BRUTE_T0_MAX,
     GRID_GUARD,
@@ -31,7 +34,6 @@ from .oracle import (
 )
 from .tetra import (
     FaceNormalSet,
-    LatticeTetrahedron,
     count_t0,
     enumerate_t0,
     face_normals,
@@ -40,6 +42,8 @@ from .tetra import (
     verify_regular,
 )
 from .triangle import CoeffMatrix, coeff_matrix, triangle_points, verify_equilateral
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Emitter:
@@ -55,7 +59,7 @@ class Emitter:
 
     def emit(self, record: dict) -> None:
         if self.fmt == "jsonl":
-            print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            print(_ENCODER.encode(record))
             return
         fields = sorted(record)
         print(",".join(fields))
@@ -80,51 +84,21 @@ def quad_arg(text: str) -> tuple[int, int, int, int]:
     return (a, b, c, d)
 
 
-def _quad_record(quad: NormalQuadruple) -> dict:
-    return {"kind": "quadruple", "a": quad.a, "b": quad.b, "c": quad.c, "d": quad.d, "q": quad.q}
-
-
-def _pair_record(m: int, n: int, k: int) -> dict:
-    return {"kind": "pair", "m": m, "n": n, "k": k}
-
-
-def _triple_record(t: EisensteinTriple) -> dict:
-    return {"kind": "triple", "m": t.m, "n": t.n, "k": t.k, "u": t.u, "v": t.v, "form": t.form}
-
-
-def _tetra_record(tet: LatticeTetrahedron, provenance: dict) -> dict:
-    return {
-        "kind": "tetrahedron",
-        "vertices": tet.vertices,
-        "side_sq": tet.side_sq,
-        "ell": tet.ell,
-        "provenance": provenance,
-    }
-
-
-def _normal_set_record(fns: FaceNormalSet, provenance: dict) -> dict:
-    return {
-        "kind": "normal-set",
-        "faces": fns.faces,  # each face is the tuple (a, b, c, d)
-        "provenance": provenance,
-    }
-
-
 def cmd_solve3d2(args, out: Emitter) -> int:
     for quad in solve_three_d2(args.d):
-        out.emit(_quad_record(quad))
+        out.emit({"kind": "quadruple", **quad._asdict(), "q": quad.q})
     return 0
 
 
 def cmd_omega(args, out: Emitter) -> int:
     for m, n in omega(args.k):
-        out.emit(_pair_record(m, n, args.k))
+        out.emit({"kind": "pair", "m": m, "n": n, "k": args.k})
     return 0
 
 
 def cmd_triples(args, out: Emitter) -> int:
     for t in primitive_triples(args.kmax):
-        out.emit(_triple_record(t))
+        out.emit({"kind": "triple", **t._asdict()})
     return 0
 
 
@@ -137,7 +111,7 @@ def _plane(args) -> tuple[CoeffMatrix, dict]:
 def cmd_triangles(args, out: Emitter) -> int:
     cm, provenance = _plane(args)
     tri = triangle_points(cm, args.m, args.n)
-    out.emit({"kind": "triangle", "p": tri.p, "q": tri.q, "side_sq": tri.side_sq, "provenance": provenance})
+    out.emit({"kind": "triangle", **tri._asdict(), "provenance": provenance})
     return 0
 
 
@@ -145,14 +119,14 @@ def cmd_complete(args, out: Emitter) -> int:
     cm, plane = _plane(args)
     for sign, tet in signed_completions(cm, args.m, args.n):
         provenance = {**plane, "sign": sign}
-        out.emit(_tetra_record(tet, provenance))
+        out.emit({"kind": "tetrahedron", **tet._asdict(), "provenance": provenance})
         if args.with_normals:
-            out.emit(_normal_set_record(face_normals(tet), provenance))
+            out.emit({"kind": "normal-set", **face_normals(tet)._asdict(), "provenance": provenance})
     return 0
 
 
-# One enumerate-t0 tetrahedron line: json.dumps of _tetra_record(tet,
-# {"ell": ell}) with sorted keys and no whitespace, filled in directly.
+# One enumerate-t0 tetrahedron line: _ENCODER's line for {"kind": "tetrahedron",
+# **tet._asdict(), "provenance": {"ell": ell}}, filled in directly.
 _T0_LINE = ('{"ell":%d,"kind":"tetrahedron","provenance":{"ell":%d},"side_sq":%d,'
             '"vertices":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]]}\n')
 
@@ -183,15 +157,8 @@ def cmd_grid_count(args, out: Emitter) -> int:
     tops = [max(map(max, shape)) for shape in shapes]
     counts = {n: sum(top <= n for top in tops) for n in range(args.n + 1)}
     for report in compare_with_bfile(counts, terms):
-        out.emit({
-            "kind": "diff",
-            "what": "bfile",
-            "shape": args.shape,
-            "offset": report.offset,
-            "matched": report.matched,
-            "mismatches": report.mismatches,
-            "missing": report.missing,
-        })
+        out.emit({"kind": "diff", "what": "bfile", "shape": args.shape, **report._asdict(),
+                  "matched": report.matched})
     return 0
 
 
@@ -396,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve3d2", parents=[common],
-                       help="primitive quadruples a^2+b^2+c^2 = 3d^2 for one odd d <= 10^5")
+                       help=f"primitive quadruples a^2+b^2+c^2 = 3d^2 for one odd d <= {THREE_D2_DMAX}")
     p.add_argument("--d", type=checked_int, required=True)
     p.set_defaults(func=cmd_solve3d2)
 
@@ -405,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=checked_int, required=True)
     p.set_defaults(func=cmd_omega)
 
-    p = sub.add_parser("triples", parents=[common],
-                       help="primitive positive (m, n, k) with m^2 - mn + n^2 = k^2, k <= kmax <= 10^6")
+    p = sub.add_parser("triples", parents=[common], help="primitive positive (m, n, k) with "
+                       f"m^2 - mn + n^2 = k^2, k <= kmax <= {TRIPLES_KMAX}")
     p.add_argument("--kmax", type=checked_int, required=True)
     p.set_defaults(func=cmd_triples)
 
@@ -427,20 +394,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate-t0", parents=[common],
                        help="all origin tetrahedra with squared side 2*ell^2 (the odd part of ell "
-                       "at most 10^5); --count-only counts them for any ell <= 2^63 - 1")
+                       f"at most {THREE_D2_DMAX}); --count-only counts them for any ell <= 2^63 - 1")
     p.add_argument("--ell", type=checked_int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate_t0)
 
     p = sub.add_parser("grid-count", parents=[common],
-                       help="brute-force shape count over the cube {0..n}^3 for n <= 6")
+                       help=f"brute-force shape count over the cube {{0..n}}^3 for n <= {GRID_GUARD}")
     p.add_argument("--n", type=checked_int, required=True)
     p.add_argument("--shape", choices=("tetra", "triangle"), required=True)
     p.add_argument("--bfile", default=None, help="OEIS b-file to compare against")
     p.set_defaults(func=cmd_grid_count)
 
-    p = sub.add_parser("oracle-compare", parents=[common],
-                       help="diff the parametrized origin enumeration against brute force (ell <= 100)")
+    p = sub.add_parser("oracle-compare", parents=[common], help="diff the parametrized origin "
+                       f"enumeration against brute force (ell <= {BRUTE_T0_MAX})")
     p.add_argument("--ell", type=checked_int, required=True)
     p.set_defaults(func=cmd_oracle_compare)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from math import isqrt
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DomainError, RangeError
@@ -160,8 +161,8 @@ def brute_t0(ell: int) -> list[LatticeTetrahedron]:
         raise RangeError(f"ell must be at most {BRUTE_T0_MAX} for the brute-force scan, got {ell}")
     target = 2 * ell * ell
     sphere = _sphere(target)
-    return sorted(LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t]))
-                  for i, j, t in _cliques(sphere, 3, lambda s2: s2 == target))
+    return sorted((LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t]))
+                   for i, j, t in _cliques(sphere, 3, lambda s2: s2 == target)), key=attrgetter("vertices"))
 
 
 class ComparisonReport(namedtuple("ComparisonReport", "missing extra")):

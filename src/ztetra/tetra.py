@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, isqrt, prod
+from operator import attrgetter
 
 from .eisenstein import omega, zeta
 from .errors import ConstructionError, DomainError, RangeError, VerificationError
@@ -194,7 +195,7 @@ def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
                         top = (apex[i0], s1 * apex[i1], s2 * apex[i2])
                         if top > gp and top > gq:
                             tets.append(LatticeTetrahedron.from_vertices((ORIGIN, gp, gq, top)))
-    tets.sort()  # by vertices, the first field, which no two members share
+    tets.sort(key=attrgetter("vertices"))  # the record order: no two share vertices
     return tets
 
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,8 @@ import time
 import pytest
 
 from ztetra import DomainError, EisensteinTriple, brute_tetrahedra_grid, brute_triangles_grid, enumerate_t0
-from ztetra.cli import Emitter, _tetra_record, cmd_verify, main
+from ztetra import cli
+from ztetra.cli import Emitter, cmd_verify, main
 
 
 def run(capsys, *argv):
@@ -140,18 +142,19 @@ def test_enumerate_t0_lines_match_json_dumps(capsys, ell):
     # and even ell, with negative coordinates in most lines.
     code, out = run(capsys, "enumerate-t0", "--ell", str(ell))
     assert code == 0
-    want = [json.dumps(_tetra_record(t, {"ell": ell}), sort_keys=True, separators=(",", ":")) + "\n"
+    want = [json.dumps({"kind": "tetrahedron", **t._asdict(), "provenance": {"ell": ell}},
+                       sort_keys=True, separators=(",", ":")) + "\n"
             for t in sorted(enumerate_t0(ell), key=lambda t: t.vertices)]
     assert out.splitlines(keepends=True)[:-1] == want
 
 
 def test_enumerate_t0_calls_json_dumps_for_the_count_only(capsys, monkeypatch):
     calls = []
-    dumps = json.dumps
-    monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    encode = cli._ENCODER.encode
+    monkeypatch.setattr(cli._ENCODER, "encode", lambda rec: calls.append(rec) or encode(rec))
     code, out = run(capsys, "enumerate-t0", "--ell", "105")
     assert code == 0
-    assert [rec["kind"] for rec, in calls] == ["count"]
+    assert [rec["kind"] for rec in calls] == ["count"]
     assert len(out.splitlines()) == len(enumerate_t0(105)) + 1
 
 
@@ -222,6 +225,22 @@ def test_grid_count_states_its_cap(capsys):
     assert captured.out == ""
     assert "brute-force cap 6" in captured.err
     assert "library keyword force=True" in captured.err
+
+
+def test_help_reads_each_cap_from_its_constant(capsys):
+    from ztetra.eisenstein import TRIPLES_KMAX
+    from ztetra.numtheory import THREE_D2_DMAX
+    from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    # A subcommand's help runs from its name to the name listed after it.
+    for name, after, cap in (("solve3d2", "omega", THREE_D2_DMAX), ("triples", "triangles", TRIPLES_KMAX),
+                             ("enumerate-t0", "grid-count", THREE_D2_DMAX),
+                             ("grid-count", "oracle-compare", GRID_GUARD), ("oracle-compare", "verify", BRUTE_T0_MAX)):
+        start = text.index(f" {name} ")
+        assert re.search(rf"\b{cap}\b", text[start:text.index(f" {after} ", start)]), name
 
 
 def test_grid_count_with_bfile(capsys, tmp_path):
@@ -370,6 +389,25 @@ def test_verify_rejects_unknown_kind_and_bad_json(capsys, tmp_path):
     assert run(capsys, "verify", "--file", str(tmp_path / "absent.jsonl"))[0] == 1
 
 
+def test_verify_skips_blank_lines_and_rejects_what_no_producer_writes(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    good = '{"kind":"pair","m":8,"n":3,"k":7}'
+    path.write_text(f"\n{good}\n \t\n{good}\n\n")
+    code, out = run(capsys, "verify", "--file", str(path))
+    assert (code, records(out)) == (0, [{"kind": "count", "what": "verified_records", "value": 2}])
+    faces = "[[1,1,1,1],[-1,-1,1,1],[-1,1,-1,1],[1,-1,1,1]]"
+    for bad, error in (
+            (f'{{"kind":"normal-set","faces":{faces}}}', "face normals fail the orthogonality identities"),
+            ("[1,2]", "record is not an object"),
+            ('{"kind":"diff","what":"bfile","shape":"tetra","offset":0,"matched":1,"mismatches":[],"missing":[]}',
+             "matched must be a boolean")):
+        path.write_text(good + "\n" + bad + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2: " in captured.err and error in captured.err, bad
+
+
 def test_verify_rejects_a_directory(capsys, tmp_path):
     assert main(["verify", "--file", str(tmp_path)]) == 1
     captured = capsys.readouterr()
@@ -444,8 +482,6 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
 
 
 def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
-    from ztetra import cli
-
     path = tmp_path / "records.jsonl"
     bfile = tmp_path / "b.txt"
     bfile.write_text("0 0\n1 5\n2 18\n")

@@ -43,6 +43,8 @@ GOLDEN = [
     ("grid-count --n 3 --shape tetra", "5baa21b5ef96dc0a71fab72383cdd76394d9f62fab37d4a5e73deb745fc7331c"),
     ("grid-count --n 3 --shape triangle",
      "bcab59cc4dfca288b2605018f2fb3efd4e04707bf32e75a09b671bf8f95b7424"),
+    ("grid-count --n 3 --shape tetra --format csv",
+     "d590b5c4ea719ad245c7f8639372dbc5e6e3a7076bafc68527015807f0242d1a"),
 ]
 
 
@@ -84,3 +86,14 @@ def test_oracle_diff_record_matches_the_golden_digest(monkeypatch):
     code, digest = _stdout_digest(["oracle-compare", "--ell", "3"])
     assert code == 1
     assert digest == "36ed289b5a9c25b26d335c4ec535f025694002a6bbabb44443749fadee0b68ea"
+
+
+def test_verify_count_record_matches_the_golden_digest(tmp_path):
+    path = tmp_path / "t0.jsonl"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["enumerate-t0", "--ell", "15"]) == 0
+    path.write_text(out.getvalue())
+    code, digest = _stdout_digest(["verify", "--file", str(path)])
+    assert code == 0
+    assert digest == "a9ac1de0da19e010041cec21540d5f4abc596a3a88240188f60aa15054e22e29"
