@@ -318,6 +318,31 @@ def _verify_record(rec: dict) -> None:
             seen.add(shape)
     if kind in ("tetrahedron", "triangle") and side_sq != rec["side_sq"]:
         raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
+    if "quad" in rec.get("provenance", ()):
+        _check_plane(rec, rec["provenance"])
+
+
+def _check_plane(rec: dict, prov: dict) -> None:
+    """Require the triangles or complete provenance prov to rebuild rec:
+    its plane's (r, s), then the triangle, or the completion on side sign
+    and that completion's face normals."""
+    cm = coeff_matrix(NormalQuadruple(*prov["quad"]))
+    if [cm.rs.r, cm.rs.s] != [prov["r"], prov["s"]]:
+        raise VerificationError(f"provenance (r, s) = {(prov['r'], prov['s'])} is not "
+                                f"{(cm.rs.r, cm.rs.s)}, the (r, s) of its quad")
+    m, n = prov["m"], prov["n"]
+    if rec["kind"] == "triangle":
+        tri = triangle_points(cm, m, n)
+        if [list(tri.p), list(tri.q)] != [rec["p"], rec["q"]]:
+            raise VerificationError(f"provenance (m, n) = {(m, n)} gives p = {tri.p}, q = {tri.q}")
+        return
+    tet = dict(signed_completions(cm, m, n)).get(prov["sign"])
+    if tet is None:
+        raise VerificationError(f"provenance (m, n) = {(m, n)} has no apex on side {prov['sign']}")
+    if rec["kind"] == "tetrahedron" and tet.vertices != tuple(sorted(map(tuple, rec["vertices"]))):
+        raise VerificationError(f"provenance gives the vertices {tet.vertices}")
+    if rec["kind"] == "normal-set" and face_normals(tet).faces != tuple(map(tuple, rec["faces"])):
+        raise VerificationError(f"provenance gives the faces {face_normals(tet).faces}")
 
 
 def cmd_verify(args, out: Emitter) -> int:
@@ -378,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triples)
 
     plane = argparse.ArgumentParser(add_help=False, parents=[common])
-    plane.add_argument("--quad", type=quad_arg, required=True, metavar="a,b,c,d")
+    plane.add_argument("--quad", type=quad_arg, required=True, metavar="a,b,c,d",
+                       help="normal (a, b, c) and odd d of the plane, a^2+b^2+c^2 = 3d^2; write "
+                       "--quad=-1,-1,-1,1 when a is negative, as in many face normals of complete --with-normals")
     plane.add_argument("--m", type=checked_int, required=True)
     plane.add_argument("--n", type=checked_int, required=True)
 

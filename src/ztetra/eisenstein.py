@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .numtheory import check_range, factorize, zeta_pairs
 
 Pair = tuple[int, int]
@@ -87,9 +87,7 @@ def primitive_triples(kmax: int) -> list[EisensteinTriple]:
     so the walk visits only that part of the ellipse, about 0.9*kmax
     pairs; kmax above TRIPLES_KMAX = 10**6 raises RangeError.
     """
-    check_range("kmax", kmax, 1)
-    if kmax > TRIPLES_KMAX:
-        raise RangeError(f"kmax must be at most {TRIPLES_KMAX}, got {kmax}")
+    check_range("kmax", kmax, 1, TRIPLES_KMAX)
     found: list[tuple[int, int, int, int, int, int]] = []
     for u in range(1, isqrt(4 * kmax // 3) + 1):
         for v in range(u // 2 + 1, (u + isqrt(4 * kmax - 3 * u * u)) // 2 + 1):

@@ -66,12 +66,14 @@ _SQRT3 = tuple((p, next(r for r in range(p) if r * r % p == 3) if p % 12 in (1, 
                for p in _SMALL_PRIMES[1:])
 
 
-def check_range(name: str, value: int, low: int) -> None:
-    """Reject values outside [low, 2**63 - 1]."""
+def check_range(name: str, value: int, low: int, cap: int = INT64_MAX) -> None:
+    """Reject values outside [low, 2**63 - 1], then values above cap."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise RangeError(f"{name} must be an integer, got {value!r}")
     if value < low or value > INT64_MAX:
         raise RangeError(f"{name} must be in [{low}, 2**63 - 1], got {value}")
+    if value > cap:
+        raise RangeError(f"{name} must be at most {cap}, got {value}")
 
 
 class Factorization(namedtuple("Factorization", "value factors")):
@@ -169,27 +171,20 @@ def _finish(factors: list[tuple[int, int]], rest: int) -> tuple[tuple[int, int],
 
     The caller has divided out of rest every prime below 1000, or every
     prime up to sqrt(rest): so rest is 1, a prime, or, only from 1000**2
-    on, a product of primes above 1000 that _large_factors splits.
+    on, a product of primes above 1000.  Every part below 1000**2 is
+    then 1 or a prime, and Miller-Rabin sorts the larger ones into
+    primes and composites that Pollard's rho splits.
     """
-    if rest >= _PRIME_BELOW:
-        factors += _large_factors(rest)
-    elif rest > 1:
-        factors.append((rest, 1))
-    return tuple(factors)
-
-
-def _large_factors(n: int) -> list[tuple[int, int]]:
-    """Sorted factorization of n > 1, whose prime factors all exceed 1000."""
     exponents: dict[int, int] = {}
-    todo = [n]
+    todo = [rest]
     while todo:
         m = todo.pop()
-        if is_prime(m):
-            exponents[m] = exponents.get(m, 0) + 1
-        else:
+        if m >= _PRIME_BELOW and not is_prime(m):
             f = _pollard_brent(m)
             todo += (f, m // f)
-    return sorted(exponents.items())
+        elif m > 1:
+            exponents[m] = exponents.get(m, 0) + 1
+    return (*factors, *sorted(exponents.items()))
 
 
 def _pollard_brent(n: int) -> int:
@@ -407,8 +402,7 @@ def solve_three_d2(d: int) -> list[NormalQuadruple]:
     check_range("d", d, 1)
     if d % 2 == 0:
         raise DomainError(f"d must be odd, got {d}")
-    if d > THREE_D2_DMAX:
-        raise RangeError(f"d must be at most {THREE_D2_DMAX}, got {d}")
+    check_range("d", d, 1, THREE_D2_DMAX)
     planes = sorted(plane for trip in _base_triples(d) for plane in _coset_maps(trip))
     return [NormalQuadruple(a, b, c, d) for a, b, c in planes]
 

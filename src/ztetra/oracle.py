@@ -67,6 +67,17 @@ def _is_twice_square(s2: int) -> bool:
     return root * root == half
 
 
+def _scan(points, size: int, keep, verify) -> list:
+    """The size-cliques of the equal-distance graphs on the distinct
+    points (see _cliques for keep) as point tuples, each confirmed by
+    verify, sorted."""
+    pts = sorted({tuple(p) for p in points})
+    shapes = sorted(tuple(map(pts.__getitem__, clique)) for clique in _cliques(pts, size, keep))
+    for shape in shapes:
+        verify(*shape)
+    return shapes
+
+
 def scan_triangles(points) -> list[Triangle]:
     """All equilateral triangles with vertices in the given point set.
 
@@ -74,13 +85,7 @@ def scan_triangles(points) -> list[Triangle]:
     confirmed with verify_equilateral after translating a vertex to the
     origin.  Output is sorted.
     """
-    pts = sorted({tuple(p) for p in points})
-    out: list[Triangle] = []
-    for i, j, t in _cliques(pts, 3, None):
-        tri = (pts[i], pts[j], pts[t])
-        verify_equilateral(sub(tri[1], tri[0]), sub(tri[2], tri[0]))
-        out.append(tri)
-    return sorted(out)
+    return _scan(points, 3, None, lambda a, b, c: verify_equilateral(sub(b, a), sub(c, a)))
 
 
 def scan_tetrahedra(points) -> list[Tetrahedron]:
@@ -92,13 +97,7 @@ def scan_tetrahedra(points) -> list[Tetrahedron]:
     every 4-point subset at every distance).  Every candidate is
     confirmed with verify_regular.  Output is sorted.
     """
-    pts = sorted({tuple(p) for p in points})
-    out: list[Tetrahedron] = []
-    for i, j, t, u in _cliques(pts, 4, _is_twice_square):
-        tet = (pts[i], pts[j], pts[t], pts[u])
-        verify_regular(*tet)
-        out.append(tet)
-    return sorted(out)
+    return _scan(points, 4, _is_twice_square, verify_regular)
 
 
 def _check_grid_size(n: int, force: bool) -> None:
@@ -156,9 +155,7 @@ def brute_t0(ell: int) -> list[LatticeTetrahedron]:
     the sphere takes about ell^2 steps, the pair scan the square of
     its size.  ell above BRUTE_T0_MAX raises RangeError before any scan.
     """
-    check_range("ell", ell, 1)
-    if ell > BRUTE_T0_MAX:
-        raise RangeError(f"ell must be at most {BRUTE_T0_MAX} for the brute-force scan, got {ell}")
+    check_range("ell", ell, 1, BRUTE_T0_MAX)
     target = 2 * ell * ell
     sphere = _sphere(target)
     return sorted((LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t]))

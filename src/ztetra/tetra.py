@@ -18,7 +18,7 @@ from math import gcd, isqrt, prod
 from operator import attrgetter
 
 from .eisenstein import omega, zeta
-from .errors import ConstructionError, DomainError, RangeError, VerificationError
+from .errors import ConstructionError, DomainError, VerificationError
 from .numtheory import (
     THREE_D2_DMAX,
     NormalQuadruple,
@@ -175,8 +175,7 @@ def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
     """
     check_range("ell", ell, 1)
     odd = ell >> ((ell & -ell).bit_length() - 1)
-    if odd > THREE_D2_DMAX:
-        raise RangeError(f"the odd part of ell must be at most {THREE_D2_DMAX}, got {odd}")
+    check_range("the odd part of ell", odd, 1, THREE_D2_DMAX)
     tets: list[LatticeTetrahedron] = []
     for d in range(1, odd + 1, 2):
         if odd % d:

@@ -85,6 +85,17 @@ def test_triangles_rejects_bad_quad(capsys):
     assert code == 1
 
 
+def test_a_negative_quad_needs_the_equals_form(capsys):
+    # argparse reads a separate "-1,-1,-1,1" as an option, so --quad takes its value after "=".
+    with pytest.raises(SystemExit) as exc:
+        main(["complete", "--quad", "-1,-1,-1,1", "--m", "1", "--n", "0"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    for command, kind in (("triangles", "triangle"), ("complete", "tetrahedron")):
+        code, out = run(capsys, command, "--quad=-1,-1,-1,1", "--m", "1", "--n", "0")
+        (rec,) = records(out)
+        assert code == 0 and rec["kind"] == kind and rec["provenance"]["quad"] == [-1, -1, -1, 1]
+
+
 def test_complete_emits_one_or_two_tetrahedra(capsys):
     code, out = run(capsys, "complete", "--quad", "1,1,1,1", "--m", "1", "--n", "0")
     assert code == 0
@@ -599,14 +610,15 @@ def test_verify_bounds_an_oracle_diff_by_the_brute_force_cap(capsys, tmp_path):
 
 
 def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):
-    tet = '{"kind":"tetrahedron","vertices":[[0,0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2,"ell":1'
-    tri = '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2'
+    # The records of triangles and complete --with-normals on --quad 1,1,1,1 --m 1 --n 0.
+    tet = '{"kind":"tetrahedron","vertices":[[0,-1,1],[0,0,0],[1,-1,0],[1,0,1]],"side_sq":2,"ell":1'
+    tri = '{"kind":"triangle","p":[1,-1,0],"q":[0,-1,1],"side_sq":2'
     plane = '"quad":[1,1,1,1],"r":0,"s":-2,"m":1,"n":0'
-    normals = '{"kind":"normal-set","faces":[[1,1,1,1],[-1,-1,1,1],[-1,1,-1,1],[1,-1,-1,1]]'
+    normals = '{"kind":"normal-set","faces":[[1,1,-1,1],[1,-1,1,1],[-1,1,1,1],[-1,-1,-1,1]]'
     # What enumerate-t0, triangles and complete write, and no provenance at all.
     good = (tet + ',"provenance":{"ell":1}}', tet + ',"provenance":{' + plane + ',"sign":1}}', tet + "}",
             tri + ',"provenance":{' + plane + "}}", tri + "}",
-            normals + ',"provenance":{' + plane + ',"sign":-1}}', normals + "}")
+            normals + ',"provenance":{' + plane + ',"sign":1}}', normals + "}")
     assert verify_lines(capsys, tmp_path, *good)[0] == 0
     malformed = (
         tet + ',"provenance":{"ell":5,"bogus":[1]}}',
@@ -628,6 +640,40 @@ def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):
     # enumerate-t0 records its own ell as the provenance.
     assert verify_lines(capsys, tmp_path, tet + ',"provenance":{"ell":5}}') == (
         1, "error: <file>:1: provenance ell 5 is not the recorded ell 1\n")
+
+
+def test_verify_rebuilds_a_plane_provenance(capsys, tmp_path):
+    # complete --quad 19,41,151,91 --m 3 --n 0 --with-normals: k = 3, so both sides complete.
+    plane = '"provenance":{"m":3,"n":0,"quad":[19,41,151,91],"r":-11,"s":61,"sign":%d}'
+    tet = '{"ell":273,"kind":"tetrahedron",%s,"side_sq":149058,"vertices":[[-288,255,-33],%s,[0,0,0],[75,363,-108]]}'
+    normals = '{"faces":%s,"kind":"normal-set",%s}'
+    up, down = "[-33,288,255]", "[-109,124,-349]"
+    faces_up = "[[151,-19,41,91],[-19,-41,-151,91],[-41,151,19,91],[-1,-1,1,1]]"
+    faces_down = "[[415,-139,-179,273],[19,41,151,91],[-23,53,-35,39],[-311,-355,-29,273]]"
+    good = (tet % (plane % 1, up), normals % (faces_up, plane % 1),
+            tet % (plane % -1, down), normals % (faces_down, plane % -1))
+    assert verify_lines(capsys, tmp_path, *good)[0] == 0
+    mismatched = {
+        # A unit-cube triangle under a plane it does not come from.
+        '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2,'
+        '"provenance":{"quad":[7,7,7,7],"r":0,"s":-2,"m":5,"n":3}}':
+            "provenance (r, s) = (0, -2) is not (0, -14), the (r, s) of its quad",
+        '{"kind":"triangle","p":[1,-1,0],"q":[0,-1,1],"side_sq":2,'
+        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":0,"n":1}}':
+            "provenance (m, n) = (0, 1) gives p = (-1, 0, 1), q = (-1, 1, 0)",
+        tet % (plane.replace('"m":3,"n":0', '"m":0,"n":3') % 1, up): "provenance gives the vertices ",
+        tet % (plane % -1, up): "provenance gives the vertices ",
+        normals % (faces_down, plane % 1): "provenance gives the faces ",
+        tet % (plane.replace("[19,41,151,91]", "[41,19,151,91]") % 1, up): "provenance (r, s) = (-11, 61) is not ",
+        tet % (plane.replace('"m":3,"n":0', '"m":2,"n":1') % 1, up): "zeta(2, 1) = 3 is not a positive",
+        # k = 1: the only apex is on side 1.
+        '{"kind":"tetrahedron","vertices":[[0,-1,1],[0,0,0],[1,-1,0],[1,0,1]],"side_sq":2,"ell":1,'
+        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":1,"n":0,"sign":-1}}':
+            "provenance (m, n) = (1, 0) has no apex on side -1",
+    }
+    for bad, reason in mismatched.items():
+        code, err = verify_lines(capsys, tmp_path, good[0], bad)
+        assert code == 1 and err.startswith(f"error: <file>:2: {reason}"), (bad, err)
 
 
 def test_verify_rejects_degenerate_pairs(capsys, tmp_path):

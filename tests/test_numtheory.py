@@ -139,6 +139,17 @@ def test_check_range_rejects_bad_values():
         check_range("x", "7", 0)
 
 
+def test_check_range_caps_after_the_other_checks():
+    check_range("x", 7, 1, 7)
+    with pytest.raises(RangeError, match=r"^x must be at most 7, got 8$"):
+        check_range("x", 8, 1, 7)
+    # A bool, a non-integer and a value below low keep the messages they have without a cap.
+    for value, message in ((True, "x must be an integer, got True"), (7.0, "x must be an integer, got 7.0"),
+                           (0, r"x must be in \[1, 2\*\*63 - 1\], got 0")):
+        with pytest.raises(RangeError, match=f"^{message}$"):
+            check_range("x", value, 1, 7)
+
+
 def test_factorize_reconstructs_value():
     for t in range(1, 2001):
         fac = factorize(t)

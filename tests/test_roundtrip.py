@@ -2,12 +2,11 @@
 
 Each example runs one producer on a small input, checks that verify
 accepts the whole stream and counts every record, then changes one
-numeric field of one record by +1 or -1.  verify must reject the
-changed stream exactly when the predicate below, which shares no code
-with the package, calls the changed record invalid.  Some changes keep
-a record valid (the pair (0, 1, 1) becomes (1, 1, 1)); those must
-still verify.  Provenance fields are not re-verified, so they are not
-changed here.
+numeric field of one record, its provenance included, by +1 or -1.
+verify must reject the changed stream exactly when the predicate below,
+which shares no code with the package, calls the changed record invalid.
+Some changes keep a record valid (the pair (0, 1, 1) becomes (1, 1, 1));
+those must still verify.
 """
 
 import copy
@@ -17,6 +16,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -42,9 +42,72 @@ def orthonormal(rows):
                for i, u in enumerate(rows) for j, v in enumerate(rows))
 
 
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def built(prov):
+    """p, q and the apex on side sign (None without a sign) that the
+    triangles and complete producers build from the plane provenance prov,
+    or None where they build nothing.
+
+    Restated from the construction: with N = (a, b, c) and
+    X = r*a*c + d*b*s, (r, s) is admissible when s^2 + 3r^2 == 2q and q | X
+    (q = a^2 + b^2); then u = (-X/q, (d*a*s - r*b*c)/q, r), v = (d*u + N x u)/(2d),
+    P(m, n) = m*u - n*v, Q = P(m - n, m), and the apex is
+    (P + Q + sign*2k*N)/3 for zeta(m, n) == k^2.  The producers take the
+    first admissible (r, s) in one fixed order; a +-1 change of r or s
+    never solves s^2 + 3r^2 == 2q again, so any admissible one is fine here.
+    """
+    a, b, c, d = prov["quad"]
+    r, s, m, n = prov["r"], prov["s"], prov["m"], prov["n"]
+    norm, x = a * a + b * b, r * a * c + d * b * s
+    if d < 1 or d % 2 == 0 or a * a + b * b + c * c != 3 * d * d or s * s + 3 * r * r != 2 * norm or x % norm:
+        return None
+    u = (-x // norm, (d * a * s - r * b * c) // norm, r)
+    v = [(d * ui + wi) // (2 * d) for ui, wi in zip(u, cross((a, b, c), u))]
+    p, q = ([i * ui - j * vi for ui, vi in zip(u, v)] for i, j in ((m, n), (m - n, m)))
+    if (m, n) == (0, 0) or "sign" not in prov:
+        return p, q, None
+    k = next((k for k in range(1, abs(m) + abs(n) + 1) if k * k == m * m - m * n + n * n), 0)
+    apex = [pi + qi + prov["sign"] * 2 * k * ni for pi, qi, ni in zip(p, q, (a, b, c))]
+    if k == 0 or any(x % 3 for x in apex):
+        return None
+    return p, q, [x // 3 for x in apex]
+
+
+def face_normals(vertices):
+    """The outward primitive face normals (a, b, c, d), the face opposite
+    each of the sorted vertices in turn."""
+    verts = sorted(vertices)
+    faces = []
+    for i, top in enumerate(verts):
+        w1, w2, w3 = (w for j, w in enumerate(verts) if j != i)
+        nrm = cross([x - y for x, y in zip(w2, w1)], [x - y for x, y in zip(w3, w1)])
+        g = gcd(*nrm)
+        sign = 1 if sum(n * (x - y) for n, x, y in zip(nrm, w1, top)) > 0 else -1
+        nrm = [sign * n // g for n in nrm]
+        faces.append([*nrm, isqrt(sum(n * n for n in nrm) // 3)])
+    return faces
+
+
 def valid(rec):
     """Whether verify should accept rec, restated from the record formats."""
     kind = rec["kind"]
+    prov = rec.get("provenance", {})
+    if prov.get("ell", rec.get("ell")) != rec.get("ell") or prov.get("sign", 1) not in (1, -1):
+        return False
+    if "quad" in prov:
+        p, q, apex = built(prov) or (None, None, None)
+        if kind == "triangle":
+            if [p, q] != [rec["p"], rec["q"]]:
+                return False
+        elif apex is None:
+            return False
+        elif kind == "tetrahedron" and sorted([[0, 0, 0], p, q, apex]) != sorted(rec["vertices"]):
+            return False
+        elif kind == "normal-set" and face_normals([[0, 0, 0], p, q, apex]) != rec["faces"]:
+            return False
     if kind == "quadruple":
         a, b, c, d, q = (rec[f] for f in "abcdq")
         return d >= 1 and d % 2 == 1 and a * a + b * b + c * c == 3 * d * d and q == a * a + b * b
@@ -89,19 +152,17 @@ def valid(rec):
 
 
 def numeric_paths(rec):
-    """Paths to every integer in rec outside its provenance."""
+    """Paths to every integer in rec, its provenance included."""
     paths = []
 
     def walk(value, path):
         if type(value) is int:
             paths.append(path)
-        elif type(value) is list:
-            for i, item in enumerate(value):
-                walk(item, path + (i,))
+        elif type(value) in (list, dict):
+            for i in range(len(value)) if type(value) is list else sorted(value):
+                walk(value[i], path + (i,))
 
-    for key in sorted(rec):
-        if key != "provenance":
-            walk(rec[key], (key,))
+    walk(rec, ())
     return paths
 
 
