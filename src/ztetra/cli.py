@@ -4,10 +4,12 @@ Every subcommand prints one JSON object per line with sorted keys and
 no whitespace, so identical arguments give byte-identical output across
 runs.  A record is the fields of its library named tuple (_asdict) plus
 a kind and what is not a field: a quadruple's q, a b-file diff's matched,
-a provenance.  One encoder writes every record except the enumerate-t0
-tetrahedra, which fill in the template _T0_LINE.  --format csv is a
-flat alternative for count records.  Exit codes: 0 success, 1 domain or
-verification failure (including a nonempty oracle diff), 2 usage errors.
+a provenance.  _write prints every record but the enumerate-t0 tetrahedra,
+which fill in the template _T0_LINE, and _write_count the count record
+that ends a run, the only record --format csv covers.  verify reads every
+tetrahedron through LatticeTetrahedron.from_vertices.  Exit codes: 0
+success, 1 domain or verification failure (including a nonempty oracle
+diff), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -34,36 +36,31 @@ from .oracle import (
 )
 from .tetra import (
     FaceNormalSet,
+    LatticeTetrahedron,
     count_t0,
     enumerate_t0,
     face_normals,
     signed_completions,
     verify_orthogonality,
-    verify_regular,
 )
-from .triangle import CoeffMatrix, coeff_matrix, triangle_points, verify_equilateral
+from .triangle import ORIGIN, CoeffMatrix, coeff_matrix, triangle_points, verify_equilateral
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-class Emitter:
-    """Writes records in the selected format.
+def _write(record: dict) -> None:
+    print(_ENCODER.encode(record))
 
-    CSV is only defined for count records, and a run emits at most one,
-    so each prints as a header of its sorted field names and one row;
-    _check_format rejects every other csv run before it starts.
-    """
 
-    def __init__(self, fmt: str) -> None:
-        self.fmt = fmt
-
-    def emit(self, record: dict) -> None:
-        if self.fmt == "jsonl":
-            print(_ENCODER.encode(record))
-            return
+def _write_count(args, record: dict) -> None:
+    """Write the count record that ends a run.  In csv, which _check_format
+    allows for no other run, it is a header of its sorted field names and one row."""
+    if args.format == "csv":
         fields = sorted(record)
         print(",".join(fields))
         print(",".join(str(record[f]) for f in fields))
+    else:
+        _write(record)
 
 
 def checked_int(text: str) -> int:
@@ -84,21 +81,21 @@ def quad_arg(text: str) -> tuple[int, int, int, int]:
     return (a, b, c, d)
 
 
-def cmd_solve3d2(args, out: Emitter) -> int:
+def cmd_solve3d2(args) -> int:
     for quad in solve_three_d2(args.d):
-        out.emit({"kind": "quadruple", **quad._asdict(), "q": quad.q})
+        _write({"kind": "quadruple", **quad._asdict(), "q": quad.q})
     return 0
 
 
-def cmd_omega(args, out: Emitter) -> int:
+def cmd_omega(args) -> int:
     for m, n in omega(args.k):
-        out.emit({"kind": "pair", "m": m, "n": n, "k": args.k})
+        _write({"kind": "pair", "m": m, "n": n, "k": args.k})
     return 0
 
 
-def cmd_triples(args, out: Emitter) -> int:
+def cmd_triples(args) -> int:
     for t in primitive_triples(args.kmax):
-        out.emit({"kind": "triple", **t._asdict()})
+        _write({"kind": "triple", **t._asdict()})
     return 0
 
 
@@ -108,20 +105,20 @@ def _plane(args) -> tuple[CoeffMatrix, dict]:
     return cm, {"quad": args.quad, "r": cm.rs.r, "s": cm.rs.s, "m": args.m, "n": args.n}
 
 
-def cmd_triangles(args, out: Emitter) -> int:
+def cmd_triangles(args) -> int:
     cm, provenance = _plane(args)
     tri = triangle_points(cm, args.m, args.n)
-    out.emit({"kind": "triangle", **tri._asdict(), "provenance": provenance})
+    _write({"kind": "triangle", **tri._asdict(), "provenance": provenance})
     return 0
 
 
-def cmd_complete(args, out: Emitter) -> int:
+def cmd_complete(args) -> int:
     cm, plane = _plane(args)
     for sign, tet in signed_completions(cm, args.m, args.n):
         provenance = {**plane, "sign": sign}
-        out.emit({"kind": "tetrahedron", **tet._asdict(), "provenance": provenance})
+        _write({"kind": "tetrahedron", **tet._asdict(), "provenance": provenance})
         if args.with_normals:
-            out.emit({"kind": "normal-set", **face_normals(tet)._asdict(), "provenance": provenance})
+            _write({"kind": "normal-set", **face_normals(tet)._asdict(), "provenance": provenance})
     return 0
 
 
@@ -131,7 +128,7 @@ _T0_LINE = ('{"ell":%d,"kind":"tetrahedron","provenance":{"ell":%d},"side_sq":%d
             '"vertices":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]]}\n')
 
 
-def cmd_enumerate_t0(args, out: Emitter) -> int:
+def cmd_enumerate_t0(args) -> int:
     if args.count_only:
         value = count_t0(args.ell)
     else:
@@ -141,37 +138,36 @@ def cmd_enumerate_t0(args, out: Emitter) -> int:
             p0, p1, p2, p3 = tet.vertices
             write(_T0_LINE % (tet.ell, args.ell, tet.side_sq, *p0, *p1, *p2, *p3))
         value = len(tets)
-    out.emit({"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": value})
+    _write_count(args, {"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": value})
     return 0
 
 
-def cmd_grid_count(args, out: Emitter) -> int:
+# Each grid-count --shape: the what of its count record and the referee scan that counts it.
+_GRID_SHAPES = {"tetra": ("grid_tetrahedra", brute_tetrahedra_grid),
+                "triangle": ("grid_triangles", brute_triangles_grid)}
+
+
+def cmd_grid_count(args) -> int:
     terms = None if args.bfile is None else read_bfile(args.bfile)
-    scan = brute_tetrahedra_grid if args.shape == "tetra" else brute_triangles_grid
-    what = "grid_tetrahedra" if args.shape == "tetra" else "grid_triangles"
+    what, scan = _GRID_SHAPES[args.shape]
     shapes = scan(args.n)
-    out.emit({"kind": "count", "what": what, "n": args.n, "shape": args.shape, "value": len(shapes)})
+    _write_count(args, {"kind": "count", "what": what, "n": args.n, "shape": args.shape, "value": len(shapes)})
     if terms is None:
         return 0
     # The shapes in {0..n'}^3 are those of the one scan whose largest coordinate is at most n'.
     tops = [max(map(max, shape)) for shape in shapes]
     counts = {n: sum(top <= n for top in tops) for n in range(args.n + 1)}
     for report in compare_with_bfile(counts, terms):
-        out.emit({"kind": "diff", "what": "bfile", "shape": args.shape, **report._asdict(),
-                  "matched": report.matched})
+        _write({"kind": "diff", "what": "bfile", "shape": args.shape, **report._asdict(),
+                "matched": report.matched})
     return 0
 
 
-def cmd_oracle_compare(args, out: Emitter) -> int:
+def cmd_oracle_compare(args) -> int:
     brute = brute_t0(args.ell)  # first, so an ell above its cap is rejected before any work
     report = compare(enumerate_t0(args.ell), brute)
-    out.emit({
-        "kind": "diff",
-        "what": "t0_oracle",
-        "ell": args.ell,
-        "missing": [t.vertices for t in report.missing],
-        "extra": [t.vertices for t in report.extra],
-    })
+    _write({"kind": "diff", "what": "t0_oracle", "ell": args.ell,
+            "missing": [t.vertices for t in report.missing], "extra": [t.vertices for t in report.extra]})
     return 0 if report.is_empty() else 1
 
 
@@ -205,10 +201,10 @@ _ROWS = {
     "pair": {"m": _INT, "n": _INT, "k": _INT},
     "triple": {"m": _INT, "n": _INT, "k": _INT, "u": _INT, "v": _INT, "form": _INT},
     ("count", "tetrahedra_t0"): {"ell": 1, "value": 0},
-    ("count", "grid_tetrahedra"): {"n": range(GRID_GUARD + 1), "shape": {"tetra"}, "value": 0},
-    ("count", "grid_triangles"): {"n": range(GRID_GUARD + 1), "shape": {"triangle"}, "value": 0},
+    **{("count", what): {"n": range(GRID_GUARD + 1), "shape": {shape}, "value": 0}
+       for shape, (what, _) in _GRID_SHAPES.items()},
     ("count", "verified_records"): {"value": 0},
-    ("diff", "bfile"): {"shape": {"tetra", "triangle"}, "offset": {0, 1}, "matched": bool,
+    ("diff", "bfile"): {"shape": set(_GRID_SHAPES), "offset": {0, 1}, "matched": bool,
                         "mismatches": (None, 3), "missing": (None,)},
     ("diff", "t0_oracle"): {"ell": range(1, BRUTE_T0_MAX + 1), "missing": (None, 4, 3),
                             "extra": (None, 4, 3)},
@@ -270,12 +266,16 @@ def _verify_record(rec: dict) -> None:
         extra = rec.keys() - {*row, *head}
         raise ValueError(f"no producer writes {sorted(extra)} in a record of {key!r}")
     if kind == "tetrahedron":
-        side_sq = verify_regular(*rec["vertices"])
-        ell = rec["ell"]
-        if 2 * ell ** 2 != side_sq:
+        tet = LatticeTetrahedron.from_vertices(rec["vertices"])
+        side_sq, ell = tet.side_sq, rec["ell"]
+        if ell != tet.ell:
             raise VerificationError(f"recorded ell {ell} does not square to {side_sq}")
-        if "provenance" in rec and rec["provenance"].get("ell", ell) != ell:
-            raise VerificationError(f"provenance ell {rec['provenance']['ell']} is not the recorded ell {ell}")
+        if "ell" in rec.get("provenance", ()):
+            if rec["provenance"]["ell"] != ell:
+                raise VerificationError(f"provenance ell {rec['provenance']['ell']} is not the recorded ell {ell}")
+            # enumerate-t0 writes each member of T0(ell) with its vertices in sorted order.
+            if ORIGIN not in tet.vertices or list(map(list, tet.vertices)) != rec["vertices"]:
+                raise VerificationError(f"vertices {rec['vertices']} are not a sorted member of T0({ell})")
     elif kind == "triangle":
         side_sq = verify_equilateral(rec["p"], rec["q"])
     elif kind == "quadruple":
@@ -305,17 +305,14 @@ def _verify_record(rec: dict) -> None:
     elif key == ("diff", "t0_oracle"):
         # Each listed tetrahedron is a distinct member of T0(ell): a regular
         # tetrahedron with a vertex at the origin and squared side 2*ell*ell.
-        want, seen = 2 * rec["ell"] ** 2, set()
+        ell, seen = rec["ell"], set()
         for vertices in (*rec["missing"], *rec["extra"]):
-            if [0, 0, 0] not in vertices:
-                raise VerificationError(f"tetrahedron {vertices} has no vertex at the origin")
-            side_sq = verify_regular(*vertices)
-            if side_sq != want:
-                raise VerificationError(f"tetrahedron {vertices} has squared side {side_sq}, not {want}")
-            shape = tuple(sorted(map(tuple, vertices)))
-            if shape in seen:
+            tet = LatticeTetrahedron.from_vertices(vertices)
+            if ORIGIN not in tet.vertices or tet.ell != ell:
+                raise VerificationError(f"tetrahedron {vertices} is not in T0({ell})")
+            if tet in seen:
                 raise VerificationError(f"tetrahedron {vertices} is listed twice")
-            seen.add(shape)
+            seen.add(tet)
     if kind in ("tetrahedron", "triangle") and side_sq != rec["side_sq"]:
         raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
     if "quad" in rec.get("provenance", ()):
@@ -339,13 +336,13 @@ def _check_plane(rec: dict, prov: dict) -> None:
     tet = dict(signed_completions(cm, m, n)).get(prov["sign"])
     if tet is None:
         raise VerificationError(f"provenance (m, n) = {(m, n)} has no apex on side {prov['sign']}")
-    if rec["kind"] == "tetrahedron" and tet.vertices != tuple(sorted(map(tuple, rec["vertices"]))):
+    if rec["kind"] == "tetrahedron" and tet != LatticeTetrahedron.from_vertices(rec["vertices"]):
         raise VerificationError(f"provenance gives the vertices {tet.vertices}")
     if rec["kind"] == "normal-set" and face_normals(tet).faces != tuple(map(tuple, rec["faces"])):
         raise VerificationError(f"provenance gives the faces {face_normals(tet).faces}")
 
 
-def cmd_verify(args, out: Emitter) -> int:
+def cmd_verify(args) -> int:
     if args.file == "-":
         path, lines = Path("<stdin>"), nullcontext(sys.stdin.buffer)
     else:
@@ -372,7 +369,7 @@ def cmd_verify(args, out: Emitter) -> int:
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise DomainError(f"{path}:{lineno}: malformed record ({exc})") from exc
             checked += 1
-    out.emit({"kind": "count", "what": "verified_records", "value": checked})
+    _write_count(args, {"kind": "count", "what": "verified_records", "value": checked})
     return 0
 
 
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-count", parents=[common],
                        help=f"brute-force shape count over the cube {{0..n}}^3 for n <= {GRID_GUARD}")
     p.add_argument("--n", type=checked_int, required=True)
-    p.add_argument("--shape", choices=("tetra", "triangle"), required=True)
+    p.add_argument("--shape", choices=_GRID_SHAPES, required=True)
     p.add_argument("--bfile", default=None, help="OEIS b-file to compare against")
     p.set_defaults(func=cmd_grid_count)
 
@@ -459,10 +456,9 @@ def _check_format(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = Emitter(args.format)
     try:
         _check_format(args)
-        return args.func(args, out)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ import pytest
 
 from ztetra import DomainError, EisensteinTriple, brute_tetrahedra_grid, brute_triangles_grid, enumerate_t0
 from ztetra import cli
-from ztetra.cli import Emitter, cmd_verify, main
+from ztetra.cli import cmd_verify, main
 
 
 def run(capsys, *argv):
@@ -46,6 +46,10 @@ def test_out_of_range_argument_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve3d2", "--d", str(2**63)])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve3d2", "--d", "abc"])
+    assert exc.value.code == 2
+    assert "not an integer: 'abc'" in capsys.readouterr().err
 
 
 def test_omega_records(capsys):
@@ -372,6 +376,9 @@ def test_verify_round_trip(capsys, tmp_path):
         code, out = run(capsys, "verify", "--file", str(path))
         assert code == 0, argv
         assert records(out)[-1]["what"] == "verified_records"
+    # The 8 tetrahedra and the count of enumerate-t0 --ell 2, counted in csv.
+    code, out = run(capsys, "verify", "--file", str(path), "--format", "csv")
+    assert (code, out.splitlines()) == (0, ["kind,value,what", "count,9,verified_records"])
 
 
 def test_verify_catches_tampering(capsys, tmp_path):
@@ -389,6 +396,12 @@ def test_verify_catches_tampering(capsys, tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     code, _ = run(capsys, "verify", "--file", str(path))
     assert code == 1
+
+    rec = json.loads(lines[0])
+    rec["ell"] = 2
+    path.write_text(json.dumps(rec) + "\n")
+    assert main(["verify", "--file", str(path)]) == 1
+    assert "recorded ell 2 does not square to 2" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_kind_and_bad_json(capsys, tmp_path):
@@ -637,9 +650,14 @@ def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):
     for bad in malformed:
         code, err = verify_lines(capsys, tmp_path, good[0], bad)
         assert code == 1 and err.startswith("error: <file>:2: malformed record ("), (bad, err)
-    # enumerate-t0 records its own ell as the provenance.
+    # enumerate-t0 records its own ell as the provenance, and writes only sorted
+    # vertices with one at the origin: not a translate, nor the members out of order.
     assert verify_lines(capsys, tmp_path, tet + ',"provenance":{"ell":5}}') == (
         1, "error: <file>:1: provenance ell 5 is not the recorded ell 1\n")
+    for vertices in ("[[5,5,5],[5,6,6],[6,5,6],[6,6,5]]", "[[0,0,0],[0,-1,1],[1,-1,0],[1,0,1]]"):
+        bad = '{"kind":"tetrahedron","vertices":%s,"side_sq":2,"ell":1,"provenance":{"ell":1}}' % vertices
+        assert verify_lines(capsys, tmp_path, bad) == (
+            1, f"error: <file>:1: vertices {json.loads(vertices)} are not a sorted member of T0(1)\n")
 
 
 def test_verify_rebuilds_a_plane_provenance(capsys, tmp_path):
@@ -738,7 +756,7 @@ def test_verify_rejects_non_integer_fields(capsys, tmp_path):
         assert captured.out == ""
         assert f"{path}:2:" in captured.err, bad
         with pytest.raises(DomainError, match="malformed record"):
-            cmd_verify(argparse.Namespace(file=str(path)), Emitter("jsonl"))
+            cmd_verify(argparse.Namespace(file=str(path)))
     # The same records with integer fields verify, and so do pairs with m = 0.
     path.write_text(good + "\n"
                     + '{"kind":"normal-set","faces":[[1,1,1,1],' + normals + "}\n"

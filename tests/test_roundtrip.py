@@ -97,6 +97,9 @@ def valid(rec):
     prov = rec.get("provenance", {})
     if prov.get("ell", rec.get("ell")) != rec.get("ell") or prov.get("sign", 1) not in (1, -1):
         return False
+    # enumerate-t0 writes sorted vertices, one of them the origin.
+    if "ell" in prov and ([0, 0, 0] not in rec["vertices"] or sorted(rec["vertices"]) != rec["vertices"]):
+        return False
     if "quad" in prov:
         p, q, apex = built(prov) or (None, None, None)
         if kind == "triangle":
