@@ -43,7 +43,6 @@ from .oracle import (
 from .tetra import (
     FaceNormalSet,
     LatticeTetrahedron,
-    complete_tetrahedron,
     corollary_solution,
     count_t0,
     enumerate_t0,
@@ -90,7 +89,6 @@ __all__ = [
     "coeff_matrix",
     "compare",
     "compare_with_bfile",
-    "complete_tetrahedron",
     "corollary_solution",
     "count_representations",
     "count_t0",

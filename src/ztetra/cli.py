@@ -6,10 +6,12 @@ runs.  A record is the fields of its library named tuple (_asdict) plus
 a kind and what is not a field: a quadruple's q, a b-file diff's matched,
 a provenance.  _write prints every record but the enumerate-t0 tetrahedra,
 which fill in the template _T0_LINE, and _write_count the count record
-that ends a run, the only record --format csv covers.  verify reads every
-tetrahedron through LatticeTetrahedron.from_vertices.  Exit codes: 0
-success, 1 domain or verification failure (including a nonempty oracle
-diff), 2 usage errors.
+that ends a run, the only record --format csv covers.  triangles and
+complete write what _plane_records builds, and verify checks a record with
+their provenance by running it again.  verify reads every tetrahedron
+through LatticeTetrahedron.from_vertices and recounts every count but its
+own.  Exit codes: 0 success, 1 domain or verification failure (including a
+nonempty oracle diff), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .tetra import (
     signed_completions,
     verify_orthogonality,
 )
-from .triangle import ORIGIN, CoeffMatrix, coeff_matrix, triangle_points, verify_equilateral
+from .triangle import ORIGIN, coeff_matrix, triangle_points, verify_equilateral
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -99,26 +101,31 @@ def cmd_triples(args) -> int:
     return 0
 
 
-def _plane(args) -> tuple[CoeffMatrix, dict]:
-    """The generators of the plane --quad and the provenance of its records."""
-    cm = coeff_matrix(NormalQuadruple(*args.quad))
-    return cm, {"quad": args.quad, "r": cm.rs.r, "s": cm.rs.s, "m": args.m, "n": args.n}
+def _plane_records(quad, m: int, n: int):
+    """The records of the (m, n) triangle in the plane quad, as triangles and
+    complete write them: the triangle with the plane provenance, then per apex
+    side its tetrahedron and normal set, their provenance adding sign.  Lazy,
+    so the triangle comes out even when zeta(m, n) is not a square."""
+    cm = coeff_matrix(NormalQuadruple(*quad))
+    plane = {"quad": quad, "r": cm.rs.r, "s": cm.rs.s, "m": m, "n": n}
+    yield {"kind": "triangle", **triangle_points(cm, m, n)._asdict(), "provenance": plane}
+    for sign, tet in signed_completions(cm, m, n):
+        provenance = {**plane, "sign": sign}
+        yield {"kind": "tetrahedron", **tet._asdict(), "provenance": provenance}
+        yield {"kind": "normal-set", **face_normals(tet)._asdict(), "provenance": provenance}
 
 
 def cmd_triangles(args) -> int:
-    cm, provenance = _plane(args)
-    tri = triangle_points(cm, args.m, args.n)
-    _write({"kind": "triangle", **tri._asdict(), "provenance": provenance})
+    _write(next(_plane_records(args.quad, args.m, args.n)))
     return 0
 
 
 def cmd_complete(args) -> int:
-    cm, plane = _plane(args)
-    for sign, tet in signed_completions(cm, args.m, args.n):
-        provenance = {**plane, "sign": sign}
-        _write({"kind": "tetrahedron", **tet._asdict(), "provenance": provenance})
-        if args.with_normals:
-            _write({"kind": "normal-set", **face_normals(tet)._asdict(), "provenance": provenance})
+    records = _plane_records(args.quad, args.m, args.n)
+    next(records)  # the triangle, which triangles writes
+    for rec in records:
+        if args.with_normals or rec["kind"] == "tetrahedron":
+            _write(rec)
     return 0
 
 
@@ -250,8 +257,6 @@ def _verify_record(rec: dict) -> None:
     row = _ROWS.get(key)
     if row is None:
         raise ValueError(f"no producer emits a record of {key!r}")
-    if kind == "triple" and rec.keys().isdisjoint(("u", "v", "form")):
-        row = _ROWS["pair"]  # a triple's generators u, v and form are optional, as one group
     head = ("kind",) if key is kind else ("kind", "what")
     known = len(head)
     for name, spec in row.items():
@@ -289,7 +294,7 @@ def _verify_record(rec: dict) -> None:
     elif kind in ("pair", "triple"):
         m, n, k = rec["m"], rec["n"], rec["k"]
         EisensteinTriple(m, n, k)
-        if "form" in rec:  # u, v and form generate (m, n, k) by the formulas of EisensteinTriple
+        if kind == "triple":  # u, v and form generate (m, n, k) by the formulas of EisensteinTriple
             u, v, form = rec["u"], rec["v"], rec["form"]
             forms = {1: (v * v - u * u, 2 * u * v - u * u), 2: (2 * u * v - u * u, 2 * u * v - v * v)}
             if form not in forms:
@@ -298,6 +303,11 @@ def _verify_record(rec: dict) -> None:
                 raise VerificationError(f"(m, n, k) = {(m, n, k)} is not form {form} of (u, v) = {(u, v)}")
     elif key == ("count", "tetrahedra_t0") and rec["value"] != count_t0(rec["ell"]):
         raise VerificationError(f"recorded value {rec['value']} != {count_t0(rec['ell'])} = |T0({rec['ell']})|")
+    elif kind == "count" and "shape" in rec:
+        what, scan = _GRID_SHAPES[rec["shape"]]
+        value = len(scan(rec["n"]))
+        if rec["value"] != value:
+            raise VerificationError(f"recorded value {rec['value']} != {value}, the {what} in {{0..{rec['n']}}}^3")
     elif key == ("diff", "bfile"):
         if rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
             raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
@@ -320,26 +330,14 @@ def _verify_record(rec: dict) -> None:
 
 
 def _check_plane(rec: dict, prov: dict) -> None:
-    """Require the triangles or complete provenance prov to rebuild rec:
-    its plane's (r, s), then the triangle, or the completion on side sign
-    and that completion's face normals."""
-    cm = coeff_matrix(NormalQuadruple(*prov["quad"]))
-    if [cm.rs.r, cm.rs.s] != [prov["r"], prov["s"]]:
-        raise VerificationError(f"provenance (r, s) = {(prov['r'], prov['s'])} is not "
-                                f"{(cm.rs.r, cm.rs.s)}, the (r, s) of its quad")
-    m, n = prov["m"], prov["n"]
+    """Require rec to be one of the records that _plane_records writes for the
+    triangles or complete provenance prov; a triangle can only be the first."""
+    line = _ENCODER.encode(rec)
+    records = _plane_records(prov["quad"], prov["m"], prov["n"])
     if rec["kind"] == "triangle":
-        tri = triangle_points(cm, m, n)
-        if [list(tri.p), list(tri.q)] != [rec["p"], rec["q"]]:
-            raise VerificationError(f"provenance (m, n) = {(m, n)} gives p = {tri.p}, q = {tri.q}")
-        return
-    tet = dict(signed_completions(cm, m, n)).get(prov["sign"])
-    if tet is None:
-        raise VerificationError(f"provenance (m, n) = {(m, n)} has no apex on side {prov['sign']}")
-    if rec["kind"] == "tetrahedron" and tet != LatticeTetrahedron.from_vertices(rec["vertices"]):
-        raise VerificationError(f"provenance gives the vertices {tet.vertices}")
-    if rec["kind"] == "normal-set" and face_normals(tet).faces != tuple(map(tuple, rec["faces"])):
-        raise VerificationError(f"provenance gives the faces {face_normals(tet).faces}")
+        records = [next(records)]
+    if not any(_ENCODER.encode(built) == line for built in records):
+        raise VerificationError(f"the provenance {_ENCODER.encode(prov)} does not rebuild this record")
 
 
 def cmd_verify(args) -> int:

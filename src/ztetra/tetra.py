@@ -133,20 +133,10 @@ def _apexes(cm: CoeffMatrix, m: int, n: int) -> tuple[LatticeTriangle, list[tupl
 
 def signed_completions(cm: CoeffMatrix, m: int, n: int) -> list[tuple[int, LatticeTetrahedron]]:
     """Regular tetrahedra over the (m, n) triangle of cm, each paired
-    with the side (+1 or -1) of the plane that holds its apex."""
+    with the side (+1 or -1) of the plane that holds its apex: one, or
+    two when 3 divides k = isqrt(zeta(m, n)); from_vertices re-verifies each."""
     tri, apexes = _apexes(cm, m, n)
     return [(sign, LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))) for sign, apex in apexes]
-
-
-def complete_tetrahedron(quad: NormalQuadruple, cm: CoeffMatrix, m: int, n: int) -> list[LatticeTetrahedron]:
-    """Regular tetrahedra over the (m, n) triangle in the plane of quad.
-
-    Returns one tetrahedron, or two when k % 3 == 0 (one on each side of
-    the plane).  Every result is re-verified before it is handed back.
-    """
-    if quad != cm.quad:
-        raise DomainError("quad is not the plane of the generators cm")
-    return [tet for _, tet in signed_completions(cm, m, n)]
 
 
 def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
@@ -283,8 +273,7 @@ def corollary_solution(d: int) -> tuple[NormalQuadruple, NormalQuadruple]:
     if d % 2 == 0:
         raise DomainError(f"d must be odd, got {d}")
     quad = solve_three_d2(d)[0]
-    cm = coeff_matrix(quad)
-    tet = complete_tetrahedron(quad, cm, 1, 1)[0]
+    tet = signed_completions(coeff_matrix(quad), 1, 1)[0][1]
     fns = face_normals(tet)
     base: NormalQuadruple | None = None
     adjacent: NormalQuadruple | None = None

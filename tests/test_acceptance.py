@@ -17,7 +17,6 @@ from ztetra import (
     coeff_matrix,
     compare,
     compare_with_bfile,
-    complete_tetrahedron,
     count_representations,
     enumerate_t0,
     face_normals,
@@ -25,6 +24,7 @@ from ztetra import (
     omega,
     primitive_triples,
     read_bfile,
+    signed_completions,
     solve_three_d2,
     verify_orthogonality,
     verify_regular,
@@ -123,7 +123,7 @@ def test_c6_sign_dichotomy():
             for k in range(1, 31):
                 want = 2 if k % 3 == 0 else 1
                 for m, n in omega(k):
-                    got = len(complete_tetrahedron(quad, cm, m, n))
+                    got = len(signed_completions(cm, m, n))
                     checked += 1
                     if got != want:
                         exceptions.append((quad, m, n, got))

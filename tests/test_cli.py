@@ -608,10 +608,20 @@ def test_verify_recounts_t0(capsys, tmp_path):
 
 def test_verify_bounds_a_grid_count_by_the_grid_cap(capsys, tmp_path):
     # grid-count rejects n above GRID_GUARD = 6, so no producer writes such a count.
-    count = '{"kind":"count","what":"grid_tetrahedra","n":%d,"shape":"tetra","value":1}'
+    count = '{"kind":"count","what":"grid_tetrahedra","n":%d,"shape":"tetra","value":1098}'
     assert verify_lines(capsys, tmp_path, count % 6)[0] == 0
     assert verify_lines(capsys, tmp_path, count % 9) == (
         1, "error: <file>:1: malformed record (n must be an integer in [0, 6], got 9)\n")
+
+
+def test_verify_recounts_a_grid_count_with_its_referee(capsys, tmp_path):
+    count = '{"kind":"count","what":"grid_%s","n":%d,"shape":"%s","value":%d}'
+    good = [count % ("tetrahedra", 3, "tetra", 72), count % ("triangles", 2, "triangle", 80)]
+    assert verify_lines(capsys, tmp_path, *good)[0] == 0
+    assert verify_lines(capsys, tmp_path, count % ("tetrahedra", 3, "tetra", 73)) == (
+        1, "error: <file>:1: recorded value 73 != 72, the grid_tetrahedra in {0..3}^3\n")
+    assert verify_lines(capsys, tmp_path, count % ("triangles", 2, "triangle", 18)) == (
+        1, "error: <file>:1: recorded value 18 != 80, the grid_triangles in {0..2}^3\n")
 
 
 def test_verify_bounds_an_oracle_diff_by_the_brute_force_cap(capsys, tmp_path):
@@ -671,27 +681,49 @@ def test_verify_rebuilds_a_plane_provenance(capsys, tmp_path):
     good = (tet % (plane % 1, up), normals % (faces_up, plane % 1),
             tet % (plane % -1, down), normals % (faces_down, plane % -1))
     assert verify_lines(capsys, tmp_path, *good)[0] == 0
-    mismatched = {
+    # Each record below is none of the records its provenance rebuilds.
+    mismatched = (
         # A unit-cube triangle under a plane it does not come from.
         '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2,'
-        '"provenance":{"quad":[7,7,7,7],"r":0,"s":-2,"m":5,"n":3}}':
-            "provenance (r, s) = (0, -2) is not (0, -14), the (r, s) of its quad",
+        '"provenance":{"quad":[7,7,7,7],"r":0,"s":-2,"m":5,"n":3}}',
         '{"kind":"triangle","p":[1,-1,0],"q":[0,-1,1],"side_sq":2,'
-        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":0,"n":1}}':
-            "provenance (m, n) = (0, 1) gives p = (-1, 0, 1), q = (-1, 1, 0)",
-        tet % (plane.replace('"m":3,"n":0', '"m":0,"n":3') % 1, up): "provenance gives the vertices ",
-        tet % (plane % -1, up): "provenance gives the vertices ",
-        normals % (faces_down, plane % 1): "provenance gives the faces ",
-        tet % (plane.replace("[19,41,151,91]", "[41,19,151,91]") % 1, up): "provenance (r, s) = (-11, 61) is not ",
-        tet % (plane.replace('"m":3,"n":0', '"m":2,"n":1') % 1, up): "zeta(2, 1) = 3 is not a positive",
+        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":0,"n":1}}',
+        tet % (plane.replace('"m":3,"n":0', '"m":0,"n":3') % 1, up),
+        tet % (plane % -1, up),
+        normals % (faces_down, plane % 1),
+        tet % (plane.replace("[19,41,151,91]", "[41,19,151,91]") % 1, up),
         # k = 1: the only apex is on side 1.
         '{"kind":"tetrahedron","vertices":[[0,-1,1],[0,0,0],[1,-1,0],[1,0,1]],"side_sq":2,"ell":1,'
-        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":1,"n":0,"sign":-1}}':
-            "provenance (m, n) = (1, 0) has no apex on side -1",
-    }
-    for bad, reason in mismatched.items():
-        code, err = verify_lines(capsys, tmp_path, good[0], bad)
-        assert code == 1 and err.startswith(f"error: <file>:2: {reason}"), (bad, err)
+        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":1,"n":0,"sign":-1}}',
+    )
+    for bad in mismatched:
+        prov = json.dumps(json.loads(bad)["provenance"], sort_keys=True, separators=(",", ":"))
+        assert verify_lines(capsys, tmp_path, good[0], bad) == (
+            1, f"error: <file>:2: the provenance {prov} does not rebuild this record\n"), bad
+    # A pair with no completion fails in the completion itself.
+    code, err = verify_lines(capsys, tmp_path, good[0], tet % (plane.replace('"m":3,"n":0', '"m":2,"n":1') % 1, up))
+    assert code == 1 and err.startswith("error: <file>:2: zeta(2, 1) = 3 is not a positive"), err
+
+
+def test_verify_accepts_a_triangle_with_no_completion(capsys, tmp_path):
+    # zeta(2, 1) = 3 is not a square: triangles writes the triangle, complete fails.
+    argv = ("--quad", "1,1,1,1", "--m", "2", "--n", "1")
+    code, out = run(capsys, "triangles", *argv)
+    assert code == 0 and len(records(out)) == 1
+    assert verify_lines(capsys, tmp_path, out.strip()) == (0, "")
+    assert main(["complete", *argv]) == 1
+    assert capsys.readouterr() == ("", "error: zeta(2, 1) = 3 is not a positive perfect square\n")
+
+
+def test_verify_rejects_a_completion_with_its_vertices_out_of_order(capsys, tmp_path):
+    # complete writes every tetrahedron with its vertices in sorted order.
+    code, out = run(capsys, "complete", "--quad", "1,1,1,1", "--m", "1", "--n", "0")
+    rec = json.loads(out)
+    assert code == 0 and rec["vertices"] == sorted(rec["vertices"])
+    assert verify_lines(capsys, tmp_path, out.strip()) == (0, "")
+    rec["vertices"].reverse()
+    code, err = verify_lines(capsys, tmp_path, json.dumps(rec))
+    assert code == 1 and err.startswith("error: <file>:1: the provenance "), err
 
 
 def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
@@ -715,21 +747,20 @@ def test_verify_checks_triple_generators(capsys, tmp_path):
     for bad, why in (('{"kind":"triple","m":8,"n":3,"k":7,"u":3,"v":3,"form":2}', "is not form 2"),
                      ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":9}', "form must be 1 or 2"),
                      ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":1}', "is not form 1"),
-                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3}', "malformed record ('form')")):
+                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3}', "malformed record ('form')"),
+                     ('{"kind":"triple","m":8,"n":3,"k":7}', "malformed record ('u')")):
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{path}:2: " in captured.err and why in captured.err, (bad, captured.err)
-    # Form 1 of (u, v) = (2, 3) is (5, 8); u == v is accepted, and a triple
-    # without u, v and form is checked on (m, n, k) alone.
+    # Form 1 of (u, v) = (2, 3) is (5, 8), and u == v is accepted.
     path.write_text(good + "\n"
                     + '{"kind":"triple","m":5,"n":8,"k":7,"u":2,"v":3,"form":1}\n'
-                    + '{"kind":"triple","m":0,"n":9,"k":9,"u":3,"v":3,"form":1}\n'
-                    + '{"kind":"triple","m":8,"n":3,"k":7}\n')
+                    + '{"kind":"triple","m":0,"n":9,"k":9,"u":3,"v":3,"form":1}\n')
     code, out = run(capsys, "verify", "--file", str(path))
     assert code == 0
-    assert records(out) == [{"kind": "count", "what": "verified_records", "value": 4}]
+    assert records(out) == [{"kind": "count", "what": "verified_records", "value": 3}]
 
 
 def test_verify_rejects_non_integer_fields(capsys, tmp_path):
@@ -799,6 +830,20 @@ def test_star_import_and_unique_exports():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+def test_the_benchmark_library_calls_stay_public():
+    # perfbench/child.py calls these by name on the package, and the grid scans with force=True.
+    import ztetra
+    from ztetra.oracle import GRID_GUARD
+
+    called = {"factorize", "count_representations", "is_loeschian", "solve_two_q", "solve_three_d2",
+              "omega", "primitive_triples", "enumerate_t0", "brute_t0", "compare",
+              "brute_tetrahedra_grid", "brute_triangles_grid"}
+    assert called <= set(ztetra.__all__)
+    for scan in (brute_tetrahedra_grid, brute_triangles_grid):
+        assert scan(1, force=True) == scan(1)
+    assert len(brute_tetrahedra_grid(GRID_GUARD + 1, force=True)) == 2116
 
 
 def test_output_is_deterministic(capsys):

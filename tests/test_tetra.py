@@ -21,7 +21,6 @@ from ztetra import (
     VerificationError,
     brute_t0,
     coeff_matrix,
-    complete_tetrahedron,
     corollary_solution,
     count_t0,
     enumerate_t0,
@@ -111,14 +110,14 @@ def test_from_vertices_sorts_and_records_ell():
 
 def test_unit_completion_is_the_known_tetrahedron():
     cm = coeff_matrix(UNIT_QUAD)
-    tets = complete_tetrahedron(UNIT_QUAD, cm, 1, 0)
+    tets = [tet for _, tet in signed_completions(cm, 1, 0)]
     assert len(tets) == 1
     assert tets[0].vertices == ((0, -1, 1), (0, 0, 0), (1, -1, 0), (1, 0, 1))
 
 
 def test_completion_gives_both_sides_when_k_divisible_by_3():
     cm = coeff_matrix(UNIT_QUAD)
-    tets = complete_tetrahedron(UNIT_QUAD, cm, 3, 0)
+    tets = [tet for _, tet in signed_completions(cm, 3, 0)]
     assert len(tets) == 2
     apexes = {
         frozenset(tet.vertices) - {ORIGIN, cm.point_p(3, 0), cm.point_q(3, 0)}
@@ -131,8 +130,6 @@ def test_fourth_vertex_validates_input():
     cm = coeff_matrix(UNIT_QUAD)
     with pytest.raises(DomainError):
         signed_completions(cm, 2, 1)  # zeta = 3 is not a square
-    with pytest.raises(DomainError):
-        complete_tetrahedron(NormalQuadruple(1, 1, -1, 1), cm, 1, 0)
 
 
 def test_sign_dichotomy_small():
@@ -231,7 +228,7 @@ def test_canonical_faces_lose_no_tetrahedron():
             for quad in solve_three_d2(d):
                 cm = coeff_matrix(quad)
                 for m, n in omega(ell // d):
-                    generated.update(complete_tetrahedron(quad, cm, m, n))
+                    generated.update(tet for _, tet in signed_completions(cm, m, n))
         assert set(generated.values()) == {3}, ell
         assert enumerate_t0(ell) == sorted(generated, key=attrgetter("vertices")), ell
 
@@ -259,7 +256,6 @@ def test_signed_completions_agree_with_fourth_vertex():
                     apex = tuple(v // 3 for v in nums)
                     want.append((sign, LatticeTetrahedron.from_vertices((ORIGIN, p, q, apex))))
             assert signed_completions(cm, m, n) == want
-            assert [tet for _, tet in want] == complete_tetrahedron(quad, cm, m, n)
 
 
 def signed_permutations():
@@ -294,7 +290,7 @@ def full_plane_referee(ell):
         for quad in solve_three_d2(d):
             cm = coeff_matrix(quad)
             for m, n in pairs:
-                tets.update(complete_tetrahedron(quad, cm, m, n))
+                tets.update(tet for _, tet in signed_completions(cm, m, n))
     return tets
 
 
