@@ -47,6 +47,7 @@ from .tetra import (
     count_t0,
     enumerate_t0,
     face_normals,
+    grid_counts,
     signed_completions,
     verify_orthogonality,
     verify_regular,
@@ -95,6 +96,7 @@ __all__ = [
     "enumerate_t0",
     "face_normals",
     "factorize",
+    "grid_counts",
     "is_loeschian",
     "is_prime",
     "omega",

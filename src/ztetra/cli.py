@@ -10,8 +10,11 @@ that ends a run, the only record --format csv covers.  triangles and
 complete write what _plane_records builds, and verify checks a record with
 their provenance by running it again.  verify reads every tetrahedron
 through LatticeTetrahedron.from_vertices and recounts every count but its
-own.  Exit codes: 0 success, 1 domain or verification failure (including a
-nonempty oracle diff), 2 usage errors.
+own.  grid-count, its --bfile diff and verify's recount of a grid count are
+one grid_counts call, which sums the translates of the origin shapes; the
+oracle's grid scans referee it and are not imported here.  Exit codes: 0
+success, 1 domain or verification failure (including a nonempty oracle
+diff), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -26,22 +29,15 @@ from pathlib import Path
 from .eisenstein import TRIPLES_KMAX, EisensteinTriple, omega, primitive_triples, zeta
 from .errors import DomainError, UsageError, VerificationError, ZtetraError
 from .numtheory import INT64_MAX, THREE_D2_DMAX, NormalQuadruple, solve_three_d2
-from .oracle import (
-    BRUTE_T0_MAX,
-    GRID_GUARD,
-    brute_t0,
-    brute_tetrahedra_grid,
-    brute_triangles_grid,
-    compare,
-    compare_with_bfile,
-    read_bfile,
-)
+from .oracle import BRUTE_T0_MAX, brute_t0, compare, compare_with_bfile, read_bfile
 from .tetra import (
+    GRID_COUNT_MAX,
     FaceNormalSet,
     LatticeTetrahedron,
     count_t0,
     enumerate_t0,
     face_normals,
+    grid_counts,
     signed_completions,
     verify_orthogonality,
 )
@@ -149,22 +145,18 @@ def cmd_enumerate_t0(args) -> int:
     return 0
 
 
-# Each grid-count --shape: the what of its count record and the referee scan that counts it.
-_GRID_SHAPES = {"tetra": ("grid_tetrahedra", brute_tetrahedra_grid),
-                "triangle": ("grid_triangles", brute_triangles_grid)}
+# Each grid-count --shape, as grid_counts takes it, and the what of its count record.
+_GRID_SHAPES = {"tetra": "grid_tetrahedra", "triangle": "grid_triangles"}
 
 
 def cmd_grid_count(args) -> int:
     terms = None if args.bfile is None else read_bfile(args.bfile)
-    what, scan = _GRID_SHAPES[args.shape]
-    shapes = scan(args.n)
-    _write_count(args, {"kind": "count", "what": what, "n": args.n, "shape": args.shape, "value": len(shapes)})
+    counts = grid_counts(args.n, args.shape)
+    _write_count(args, {"kind": "count", "what": _GRID_SHAPES[args.shape], "n": args.n, "shape": args.shape,
+                        "value": counts[-1]})
     if terms is None:
         return 0
-    # The shapes in {0..n'}^3 are those of the one scan whose largest coordinate is at most n'.
-    tops = [max(map(max, shape)) for shape in shapes]
-    counts = {n: sum(top <= n for top in tops) for n in range(args.n + 1)}
-    for report in compare_with_bfile(counts, terms):
+    for report in compare_with_bfile(dict(enumerate(counts)), terms):
         _write({"kind": "diff", "what": "bfile", "shape": args.shape, **report._asdict(),
                 "matched": report.matched})
     return 0
@@ -208,8 +200,8 @@ _ROWS = {
     "pair": {"m": _INT, "n": _INT, "k": _INT},
     "triple": {"m": _INT, "n": _INT, "k": _INT, "u": _INT, "v": _INT, "form": _INT},
     ("count", "tetrahedra_t0"): {"ell": 1, "value": 0},
-    **{("count", what): {"n": range(GRID_GUARD + 1), "shape": {shape}, "value": 0}
-       for shape, (what, _) in _GRID_SHAPES.items()},
+    **{("count", what): {"n": range(GRID_COUNT_MAX + 1), "shape": {shape}, "value": 0}
+       for shape, what in _GRID_SHAPES.items()},
     ("count", "verified_records"): {"value": 0},
     ("diff", "bfile"): {"shape": set(_GRID_SHAPES), "offset": {0, 1}, "matched": bool,
                         "mismatches": (None, 3), "missing": (None,)},
@@ -304,10 +296,9 @@ def _verify_record(rec: dict) -> None:
     elif key == ("count", "tetrahedra_t0") and rec["value"] != count_t0(rec["ell"]):
         raise VerificationError(f"recorded value {rec['value']} != {count_t0(rec['ell'])} = |T0({rec['ell']})|")
     elif kind == "count" and "shape" in rec:
-        what, scan = _GRID_SHAPES[rec["shape"]]
-        value = len(scan(rec["n"]))
+        value = grid_counts(rec["n"], rec["shape"])[-1]
         if rec["value"] != value:
-            raise VerificationError(f"recorded value {rec['value']} != {value}, the {what} in {{0..{rec['n']}}}^3")
+            raise VerificationError(f"recorded value {rec['value']} != {value}, the {key[1]} in {{0..{rec['n']}}}^3")
     elif key == ("diff", "bfile"):
         if rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
             raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
@@ -422,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate_t0)
 
     p = sub.add_parser("grid-count", parents=[common],
-                       help=f"brute-force shape count over the cube {{0..n}}^3 for n <= {GRID_GUARD}")
+                       help=f"count the shapes in the cube {{0..n}}^3 for n <= {GRID_COUNT_MAX}, "
+                       "from the origin shapes and their translates")
     p.add_argument("--n", type=checked_int, required=True)
     p.add_argument("--shape", choices=_GRID_SHAPES, required=True)
     p.add_argument("--bfile", default=None, help="OEIS b-file to compare against")

@@ -3,11 +3,11 @@
 Nothing here knows about the coefficient machinery: candidates come
 from raw distance bookkeeping over explicit point sets and every hit is
 confirmed by the verify functions, so these scans are a fair referee
-for enumerate_t0 and the grid counting paths.  One clique search
-serves every scan, and it stores only the pairs at the squared
-distances its caller reads: all of them for triangles, 2*k*k for
-tetrahedra, 2*ell*ell on the sphere of brute_t0.  Guards keep the
-scans at desk scale unless explicitly overridden.
+for enumerate_t0 and grid_counts: the grid scans referee grid counts
+and no longer produce them.  One clique search serves every scan, and
+it stores only the pairs at the squared distances its caller reads: all
+of them for triangles, 2*k*k for tetrahedra, 2*ell*ell on the sphere of
+brute_t0.  Guards keep the scans at desk scale unless explicitly overridden.
 """
 
 from __future__ import annotations

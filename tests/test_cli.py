@@ -230,22 +230,24 @@ def test_grid_count(capsys):
 
 
 def test_grid_count_states_its_cap(capsys):
+    from ztetra.tetra import GRID_COUNT_MAX
+
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert "{0..n}^3 for n <= 6" in " ".join(capsys.readouterr().out.split())
+    assert f"{{0..n}}^3 for n <= {GRID_COUNT_MAX}," in " ".join(capsys.readouterr().out.split())
     start = time.perf_counter()
-    assert main(["grid-count", "--n", "7", "--shape", "tetra"]) == 1
+    assert main(["grid-count", "--n", str(GRID_COUNT_MAX + 1), "--shape", "tetra"]) == 1
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "brute-force cap 6" in captured.err
-    assert "library keyword force=True" in captured.err
+    assert captured.err == f"error: n must be at most {GRID_COUNT_MAX}, got {GRID_COUNT_MAX + 1}\n"
 
 
 def test_help_reads_each_cap_from_its_constant(capsys):
     from ztetra.eisenstein import TRIPLES_KMAX
     from ztetra.numtheory import THREE_D2_DMAX
-    from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD
+    from ztetra.oracle import BRUTE_T0_MAX
+    from ztetra.tetra import GRID_COUNT_MAX
 
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -253,7 +255,7 @@ def test_help_reads_each_cap_from_its_constant(capsys):
     # A subcommand's help runs from its name to the name listed after it.
     for name, after, cap in (("solve3d2", "omega", THREE_D2_DMAX), ("triples", "triangles", TRIPLES_KMAX),
                              ("enumerate-t0", "grid-count", THREE_D2_DMAX),
-                             ("grid-count", "oracle-compare", GRID_GUARD), ("oracle-compare", "verify", BRUTE_T0_MAX)):
+                             ("grid-count", "oracle-compare", GRID_COUNT_MAX), ("oracle-compare", "verify", BRUTE_T0_MAX)):
         start = text.index(f" {name} ")
         assert re.search(rf"\b{cap}\b", text[start:text.index(f" {after} ", start)]), name
 
@@ -607,11 +609,11 @@ def test_verify_recounts_t0(capsys, tmp_path):
 
 
 def test_verify_bounds_a_grid_count_by_the_grid_cap(capsys, tmp_path):
-    # grid-count rejects n above GRID_GUARD = 6, so no producer writes such a count.
-    count = '{"kind":"count","what":"grid_tetrahedra","n":%d,"shape":"tetra","value":1098}'
-    assert verify_lines(capsys, tmp_path, count % 6)[0] == 0
-    assert verify_lines(capsys, tmp_path, count % 9) == (
-        1, "error: <file>:1: malformed record (n must be an integer in [0, 6], got 9)\n")
+    # grid-count rejects n above GRID_COUNT_MAX = 60, so no producer writes such a count.
+    count = '{"kind":"count","what":"grid_tetrahedra","n":%d,"shape":"tetra","value":51404960}'
+    assert verify_lines(capsys, tmp_path, count % 60)[0] == 0
+    assert verify_lines(capsys, tmp_path, count % 63) == (
+        1, "error: <file>:1: malformed record (n must be an integer in [0, 60], got 63)\n")
 
 
 def test_verify_recounts_a_grid_count_with_its_referee(capsys, tmp_path):

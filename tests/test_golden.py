@@ -3,7 +3,7 @@
 Each command's stdout is pinned by its SHA-256.  The set covers every
 producer the pipeline feeds (number theory, the Eisenstein layer, plane
 generators and triangles, completion with face normals, the origin
-enumeration and its count, and the grid scans), so a refactor of any
+enumeration and its count, and the grid counts), so a refactor of any
 layer that changes a single output byte fails here.  A deliberate
 change of output format must update the digests in the same commit.
 """
@@ -45,6 +45,10 @@ GOLDEN = [
      "bcab59cc4dfca288b2605018f2fb3efd4e04707bf32e75a09b671bf8f95b7424"),
     ("grid-count --n 3 --shape tetra --format csv",
      "d590b5c4ea719ad245c7f8639372dbc5e6e3a7076bafc68527015807f0242d1a"),
+    # Past the grid scans' reach: 1,761,882 tetrahedra and 22,003,808 triangles in {0..30}^3.
+    ("grid-count --n 30 --shape tetra", "c301101f65241b2e63c47f9c70cdd5f7474b0501da7ebb0830e365e978bc7f4e"),
+    ("grid-count --n 30 --shape triangle",
+     "e4c25446b89bc079dce3c9e66b6b973feaffb4169c31235b417ef3e1377870b7"),
 ]
 
 

@@ -1,5 +1,5 @@
 """ztetra imports nothing outside the standard library, and its CLI
-imports only the public names of the package."""
+imports only the public names of the package, and no grid scan."""
 
 import ast
 import os
@@ -32,6 +32,15 @@ def test_cli_imports_no_private_name():
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ztetra"):
             private = [alias.name for alias in node.names if alias.name.startswith("_")]
             assert not private, (node.module, private)
+
+
+def test_cli_imports_no_grid_scan():
+    # The grid scans referee grid_counts; the CLI counts with grid_counts alone.
+    path = Path(ztetra.__file__).parent / "cli.py"
+    scans = {"brute_tetrahedra_grid", "brute_triangles_grid"}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not scans & {alias.name for alias in node.names}, ast.unparse(node)
 
 
 def test_import_loads_no_dataclasses():

@@ -3,7 +3,7 @@
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import isqrt
 from operator import attrgetter
 
@@ -20,11 +20,14 @@ from ztetra import (
     RangeError,
     VerificationError,
     brute_t0,
+    brute_tetrahedra_grid,
+    brute_triangles_grid,
     coeff_matrix,
     corollary_solution,
     count_t0,
     enumerate_t0,
     face_normals,
+    grid_counts,
     omega,
     signed_completions,
     solve_three_d2,
@@ -33,6 +36,7 @@ from ztetra import (
     verify_regular,
     zeta,
 )
+from ztetra import tetra
 from ztetra.numtheory import _base_triples, _coset_maps
 from ztetra.triangle import ORIGIN, cross, dist_sq, dot, sub
 
@@ -342,6 +346,33 @@ def test_orbit_walk_builds_one_plane_per_orbit(monkeypatch):
 def test_enumerate_t0_rejects_bad_ell():
     with pytest.raises(RangeError):
         enumerate_t0(0)
+
+
+@pytest.mark.parametrize("shape, scan, n", [("tetra", brute_tetrahedra_grid, 12),
+                                            ("triangle", brute_triangles_grid, 8)])
+def test_grid_counts_match_the_referee_scan(shape, scan, n):
+    # The scan's shapes in {0..i}^3 are those whose largest coordinate is at most i.
+    tops = Counter(max(map(max, found)) for found in scan(n, force=True))
+    assert grid_counts(n, shape) == list(accumulate(tops[i] for i in range(n + 1)))
+
+
+def test_grid_counts_check_the_translates_divide_evenly(monkeypatch):
+    # Dropping all but one member of each T0(ell) leaves translate sums that 4 does not divide.
+    whole = tetra.enumerate_t0
+    monkeypatch.setattr(tetra, "enumerate_t0", lambda ell: whole(ell)[:1])
+    with pytest.raises(ConstructionError, match=r"^origin shape translates \[0, 1, 9\] are not all 4 per tetra$"):
+        grid_counts(2, "tetra")
+
+
+def test_grid_counts_reject_bad_input_before_any_work():
+    assert grid_counts(0, "triangle") == [0]
+    start = time.perf_counter()
+    for n in (-1, tetra.GRID_COUNT_MAX + 1, 2**70, True):
+        with pytest.raises(RangeError):
+            grid_counts(n, "tetra")
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(DomainError, match="shape must be 'tetra' or 'triangle', got 'cube'"):
+        grid_counts(2, "cube")
 
 
 def test_face_normals_unit_tetrahedron():
