@@ -10,11 +10,11 @@ that ends a run, the only record --format csv covers.  triangles and
 complete write what _plane_records builds, and verify checks a record with
 their provenance by running it again.  verify reads every tetrahedron
 through LatticeTetrahedron.from_vertices and recounts every count but its
-own.  grid-count, its --bfile diff and verify's recount of a grid count are
-one grid_counts call, which sums the translates of the origin shapes; the
-oracle's grid scans referee it and are not imported here.  Exit codes: 0
-success, 1 domain or verification failure (including a nonempty oracle
-diff), 2 usage errors.
+own.  grid-count, its --bfile diff and verify's recount of a grid count or
+a diff are one grid_counts call, which sums the translates of the origin
+shapes; the oracle's grid scans referee it and are not imported here.
+Exit codes: 0 success, 1 domain or verification failure (including a
+nonempty oracle diff), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -300,9 +300,24 @@ def _verify_record(rec: dict) -> None:
         if rec["value"] != value:
             raise VerificationError(f"recorded value {rec['value']} != {value}, the {key[1]} in {{0..{rec['n']}}}^3")
     elif key == ("diff", "bfile"):
-        if rec["matched"] != (not rec["mismatches"] and not rec["missing"]):
-            raise VerificationError(f"matched is {rec['matched']} with {len(rec['mismatches'])} "
-                                    f"mismatches and {len(rec['missing'])} missing")
+        mismatches, missing = rec["mismatches"], rec["missing"]
+        if rec["matched"] != (not mismatches and not missing):
+            raise VerificationError(f"matched is {rec['matched']} with {len(mismatches)} "
+                                    f"mismatches and {len(missing)} missing")
+        # compare_with_bfile lists each grid size once, in increasing order, as a mismatch or as missing.
+        sizes = [i for i, _, _ in mismatches]
+        for listed in (sizes, missing):
+            if listed != sorted(set(listed)) or listed and not 0 <= listed[0] <= listed[-1] <= GRID_COUNT_MAX:
+                raise VerificationError(f"grid sizes {listed} are not increasing in [0, {GRID_COUNT_MAX}]")
+        if set(sizes) & set(missing):
+            raise VerificationError(f"grid sizes {sorted(set(sizes) & set(missing))} are mismatched and missing")
+        counts = grid_counts(sizes[-1], rec["shape"]) if sizes else []
+        for i, ours, theirs in mismatches:
+            if ours == theirs:
+                raise VerificationError(f"mismatch {[i, ours, theirs]} has ours equal to theirs")
+            if ours != counts[i]:
+                raise VerificationError(f"mismatch {[i, ours, theirs]} records ours {ours} != {counts[i]}, "
+                                        f"the {_GRID_SHAPES[rec['shape']]} in {{0..{i}}}^3")
     elif key == ("diff", "t0_oracle"):
         # Each listed tetrahedron is a distinct member of T0(ell): a regular
         # tetrahedron with a vertex at the origin and squared side 2*ell*ell.

@@ -3,12 +3,12 @@
 A lattice equilateral triangle extends to a regular lattice tetrahedron
 exactly when its parameter pair satisfies zeta(m, n) == k*k; the apex
 sits at the triangle centroid displaced by (2k/3)(a, b, c) on one or
-both sides of the plane.  enumerate_t0 walks one plane per orbit of
-the 48 signed coordinate permutations and every parameter producing
-squared side 2*ell*ell, mapping what it builds onto the rest of each
-orbit, and count_t0 counts that set from the factorization of ell.
-grid_counts counts the shapes in a cube from their c origin shapes: c times
-the count is the number of translates of origin shapes that fit in the cube.
+both sides of the plane.  enumerate_t0 and grid_counts walk one plane
+per orbit of the 48 signed coordinate permutations.  enumerate_t0 maps
+what each parameter producing squared side 2*ell*ell builds onto the rest
+of the orbit, and count_t0 counts that set from the factorization of ell.
+grid_counts sums the translates in a cube of the shapes over each base
+plane, weighted by its orbit size; that counts each shape 3 or 12 times.
 face_normals and verify_orthogonality recover the exact rational
 orthogonal structure any such tetrahedron carries.
 """
@@ -43,7 +43,7 @@ from .triangle import (
 )
 
 _VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# The cap of grid_counts: its triangle walk takes about 1 s at n = 60 (2-vCPU VM).
+# The cap of grid_counts: its triangle walk takes about 0.35 s at n = 60 (2-vCPU VM).
 GRID_COUNT_MAX = 60
 
 
@@ -143,6 +143,12 @@ def signed_completions(cm: CoeffMatrix, m: int, n: int) -> list[tuple[int, Latti
     return [(sign, LatticeTetrahedron.from_vertices((ORIGIN, tri.p, tri.q, apex))) for sign, apex in apexes]
 
 
+def _base_planes(d: int):
+    """The CoeffMatrix and _coset_maps maps of each base plane 0 < a <= b <= c at odd scale d."""
+    for normal in _base_triples(d):
+        yield coeff_matrix(NormalQuadruple(*normal, d)), _coset_maps(normal).values()
+
+
 def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
     """Every regular lattice tetrahedron with a vertex at the origin and
     squared side 2*ell*ell, once each, sorted by vertices.
@@ -175,9 +181,7 @@ def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
         if odd % d:
             continue
         pairs = omega(ell // d)
-        for normal in _base_triples(d):
-            cm = coeff_matrix(NormalQuadruple(*normal, d))
-            maps = _coset_maps(normal).values()
+        for cm, maps in _base_planes(d):
             for m, n in pairs:
                 tri, apexes = _apexes(cm, m, n)
                 p, q = tri.p, tri.q
@@ -221,40 +225,36 @@ def grid_counts(n: int, shape: str) -> list[int]:
     """The number of regular tetrahedra (shape "tetra") or equilateral
     triangles (shape "triangle") with vertices in {0..i}^3, for i = 0..n.
 
-    Moving each of a shape's c vertices (c = 4 or 3) to the origin gives c
-    distinct origin shapes, and one whose coordinates span s_x, s_y, s_z has
-    prod(max(0, i + 1 - s)) translates in {0..i}^3.  So c * count(i) sums
-    that over the origin shapes with squared side at most 3*n*n: T0(ell), and
-    the (a, b) triangle of each sign-canonical plane at odd scale d, once each
-    as Q is P turned 60 degrees one way.  A sum c does not divide raises
+    An origin shape spanning s_x, s_y, s_z has prod(max(0, i + 1 - s))
+    translates in {0..i}^3.  3 * count(i) sums them over the (a, b) triangles
+    of the sign-canonical planes at odd scale d with 2*d*d*zeta(a, b) <= 3*n*n
+    (each origin triangle once, as Q is P turned 60 degrees one way), and
+    12 * count(i) over their completions (4 vertices, each on 3 faces).  A
+    signed permutation keeps the sorted spans, so each base plane stands for
+    its orbit with weight len(maps).  A sum 3 or 12 does not divide raises
     ConstructionError; n above GRID_COUNT_MAX, RangeError before any work.
 
     >>> grid_counts(3, "tetra"), grid_counts(3, "triangle")
     ([0, 2, 18, 72], [0, 8, 80, 368])
     """
     check_range("n", n, 0, GRID_COUNT_MAX)
-    top = isqrt(3 * n * n // 2)  # the largest ell, and the largest d
-    if shape == "tetra":
-        corners, shapes = 4, (tet.vertices for ell in range(1, top + 1) for tet in enumerate_t0(ell))
-    elif shape == "triangle":
-        corners, shapes = 3, _origin_triangles(n, top)
-    else:
+    if shape not in ("tetra", "triangle"):
         raise DomainError(f"shape must be 'tetra' or 'triangle', got {shape!r}")
-    spans = Counter(tuple(sorted(max(axis) - min(axis) for axis in zip(*points))) for points in shapes)
-    totals = [sum(k * prod(max(0, i + 1 - s) for s in span) for span, k in spans.items()) for i in range(n + 1)]
-    if any(total % corners for total in totals):
-        raise ConstructionError(f"origin shape translates {totals} are not all {corners} per {shape}")
-    return [total // corners for total in totals]
-
-
-def _origin_triangles(n: int, top: int):
-    """The triangles (ORIGIN, P, Q) with 2*d*d*zeta(a, b) <= 3*n*n, odd d <= top."""
-    for d in range(1, top + 1, 2):
+    copies, spans = 12 if shape == "tetra" else 3, Counter()
+    for d in range(1, isqrt(3 * n * n // 2) + 1, 2):
         reach = isqrt(2 * n * n // (d * d))  # zeta(a, b) >= 3*a*a/4 and 3*b*b/4
         box = range(-reach, reach + 1)
-        pairs = [(a, b) for a in box for b in box if 0 < 2 * d * d * zeta(a, b) <= 3 * n * n]
-        for cm in map(coeff_matrix, solve_three_d2(d)):
-            yield from ((ORIGIN, cm.point_p(a, b), cm.point_q(a, b)) for a, b in pairs)
+        pairs = [(a, b) for a in box for b in box if 0 < 2 * d * d * (z := zeta(a, b)) <= 3 * n * n
+                 and (shape == "triangle" or isqrt(z) ** 2 == z)]
+        for cm, maps in _base_planes(d):
+            for a, b in pairs:
+                for points in ([(ORIGIN, *triangle_points(cm, a, b)[:2])] if shape == "triangle"
+                               else [tet.vertices for _, tet in signed_completions(cm, a, b)]):
+                    spans[tuple(sorted(max(axis) - min(axis) for axis in zip(*points)))] += len(maps)
+    totals = [sum(k * prod(max(0, i + 1 - s) for s in span) for span, k in spans.items()) for i in range(n + 1)]
+    if any(total % copies for total in totals):
+        raise ConstructionError(f"origin shape translates {totals} are not all {copies} per {shape}")
+    return [total // copies for total in totals]
 
 
 def face_normals(tet: LatticeTetrahedron) -> FaceNormalSet:

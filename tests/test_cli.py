@@ -567,6 +567,19 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         bfile_diff + '"matched":true,"mismatches":[],"missing":[3]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":[]}',
     )
+    # compare_with_bfile lists only grid sizes in [0, GRID_COUNT_MAX], each once and in order, and a
+    # mismatch only where our count, grid_counts(n, shape)[n], differs from the b-file's term.
+    sizes = "grid sizes"
+    unwritten = (
+        (bfile_diff + '"matched":false,"mismatches":[[1,2,2]],"missing":[]}', "mismatch [1, 2, 2] has ours equal"),
+        (bfile_diff + '"matched":false,"mismatches":[[1,5,7]],"missing":[-3,-3]}', f"{sizes} [-3, -3]"),
+        (bfile_diff + '"matched":false,"mismatches":[[1,5,7]],"missing":[]}',
+         "mismatch [1, 5, 7] records ours 5 != 2, the grid_tetrahedra in {0..1}^3"),
+        (bfile_diff + '"matched":false,"mismatches":[[999,5,7]],"missing":[]}', f"{sizes} [999] are not"),
+        (bfile_diff + '"matched":false,"mismatches":[[2,18,5],[1,2,5]],"missing":[]}', f"{sizes} [2, 1]"),
+        (bfile_diff + '"matched":false,"mismatches":[],"missing":[0,61]}', f"{sizes} [0, 61]"),
+        (bfile_diff + '"matched":false,"mismatches":[[1,2,5]],"missing":[1,3]}', f"{sizes} [1] are mismatched"),
+    )
     # T0(2) holds {0, (2,2,0), (2,0,2), (0,2,2)}; these lists hold shapes outside it,
     # and the last two list one member of T0(1) twice, as compare never does.
     cube = "[[0,0,0],[1,1,0],[1,0,1],[0,1,1]]"
@@ -580,7 +593,7 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         ('{"kind":"diff","what":"t0_oracle","ell":1,"missing":[' + cube + "," + cube + '],"extra":[]}', twice),
     )
     cases = ([(bad, "malformed record") for bad in malformed]
-             + [(bad, "matched is") for bad in disagreeing] + list(outside_t0))
+             + [(bad, "matched is") for bad in disagreeing] + list(unwritten) + list(outside_t0))
     for bad, reason in cases:
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad

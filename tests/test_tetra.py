@@ -4,7 +4,7 @@ import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from math import isqrt
+from math import isqrt, prod
 from operator import attrgetter
 
 import pytest
@@ -342,6 +342,16 @@ def test_orbit_walk_builds_one_plane_per_orbit(monkeypatch):
     assert calls["coeff_matrix"] == sum(bases.values())
     assert calls["_apexes"] == sum(bases[d] * len(omega(555 // d)) for d in divisors)
 
+    # grid_counts walks the same base planes, for every odd d up to the largest at n = 20.
+    for name in ("enumerate_t0", "solve_three_d2"):
+        monkeypatch.setattr(tetra, name, counted(name, getattr(tetra, name)))
+    for shape in ("tetra", "triangle"):
+        calls.clear()
+        grid_counts(20, shape)
+        top = isqrt(3 * 20 * 20 // 2)
+        assert calls["coeff_matrix"] == sum(len(list(_base_triples(d))) for d in range(1, top + 1, 2)), shape
+        assert calls["enumerate_t0"] == calls["solve_three_d2"] == 0, shape
+
 
 def test_enumerate_t0_rejects_bad_ell():
     with pytest.raises(RangeError):
@@ -357,11 +367,23 @@ def test_grid_counts_match_the_referee_scan(shape, scan, n):
 
 
 def test_grid_counts_check_the_translates_divide_evenly(monkeypatch):
-    # Dropping all but one member of each T0(ell) leaves translate sums that 4 does not divide.
-    whole = tetra.enumerate_t0
-    monkeypatch.setattr(tetra, "enumerate_t0", lambda ell: whole(ell)[:1])
-    with pytest.raises(ConstructionError, match=r"^origin shape translates \[0, 1, 9\] are not all 4 per tetra$"):
+    # Weighting each base plane by one map, not its orbit size, leaves translate sums that 12 does not divide.
+    whole = tetra._coset_maps
+    monkeypatch.setattr(tetra, "_coset_maps", lambda normal: dict([next(iter(whole(normal).items()))]))
+    with pytest.raises(ConstructionError, match=r"^origin shape translates \[0, 6, 54\] are not all 12 per tetra$"):
         grid_counts(2, "tetra")
+
+
+def test_grid_counts_match_the_translates_of_t0_for_every_n():
+    # The sum over every member of T0(ell), with no orbit weights and no division by 3 faces:
+    # 4 * count(i) = sum of prod(max(0, i + 1 - span)).  A shape with 2*ell*ell > 3*i*i spans
+    # more than i, so one sum up to the largest ell at n = 30 serves every n <= 30.
+    spans = [sorted(max(axis) - min(axis) for axis in zip(*tet.vertices))
+             for ell in range(1, isqrt(3 * 30 * 30 // 2) + 1) for tet in enumerate_t0(ell)]
+    totals = [sum(prod(max(0, i + 1 - s) for s in span) for span in spans) for i in range(31)]
+    assert all(total % 4 == 0 for total in totals)
+    for n in range(31):
+        assert grid_counts(n, "tetra") == [total // 4 for total in totals[:n + 1]], n
 
 
 def test_grid_counts_reject_bad_input_before_any_work():
