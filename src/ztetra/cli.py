@@ -12,7 +12,8 @@ their provenance by running it again.  verify reads every tetrahedron
 through LatticeTetrahedron.from_vertices and recounts every count but its
 own.  grid-count, its --bfile diff and verify's recount of a grid count or
 a diff are one grid_counts call, which sums the translates of the origin
-shapes; the oracle's grid scans referee it and are not imported here.
+shapes (verify walks each shape at most once per n in a run); the oracle's
+grid scans referee it and are not imported here.
 Exit codes: 0 success, 1 domain or verification failure (including a
 nonempty oracle diff), 2 usage errors.
 """
@@ -242,8 +243,23 @@ def _check_field(name: str, value, spec) -> None:
         raise ValueError(f"{name} must be one of {sorted(spec)}, got {value!r}")
 
 
-def _verify_record(rec: dict) -> None:
-    """Require exactly the fields of rec's row in _ROWS, then redo its producer's math."""
+def _grid_counts_memo():
+    """grid_counts for one verify run: a shape is walked again only for an n
+    past its longest list so far, as entry i of grid_counts(n, shape) is
+    grid_counts(i, shape)[-1]."""
+    walked: dict[str, list[int]] = {}
+
+    def counts(n: int, shape: str) -> list[int]:
+        if len(walked.get(shape, ())) <= n:
+            walked[shape] = grid_counts(n, shape)
+        return walked[shape][:n + 1]
+
+    return counts
+
+
+def _verify_record(rec: dict, recount) -> None:
+    """Require exactly the fields of rec's row in _ROWS, then redo its producer's
+    math; recount is the run's _grid_counts_memo."""
     kind = rec.get("kind")
     key = (kind, rec.get("what")) if kind in ("count", "diff") else kind
     row = _ROWS.get(key)
@@ -296,7 +312,7 @@ def _verify_record(rec: dict) -> None:
     elif key == ("count", "tetrahedra_t0") and rec["value"] != count_t0(rec["ell"]):
         raise VerificationError(f"recorded value {rec['value']} != {count_t0(rec['ell'])} = |T0({rec['ell']})|")
     elif kind == "count" and "shape" in rec:
-        value = grid_counts(rec["n"], rec["shape"])[-1]
+        value = recount(rec["n"], rec["shape"])[-1]
         if rec["value"] != value:
             raise VerificationError(f"recorded value {rec['value']} != {value}, the {key[1]} in {{0..{rec['n']}}}^3")
     elif key == ("diff", "bfile"):
@@ -311,7 +327,7 @@ def _verify_record(rec: dict) -> None:
                 raise VerificationError(f"grid sizes {listed} are not increasing in [0, {GRID_COUNT_MAX}]")
         if set(sizes) & set(missing):
             raise VerificationError(f"grid sizes {sorted(set(sizes) & set(missing))} are mismatched and missing")
-        counts = grid_counts(sizes[-1], rec["shape"]) if sizes else []
+        counts = recount(sizes[-1], rec["shape"]) if sizes else []
         for i, ours, theirs in mismatches:
             if ours == theirs:
                 raise VerificationError(f"mismatch {[i, ours, theirs]} has ours equal to theirs")
@@ -357,7 +373,7 @@ def cmd_verify(args) -> int:
             raise DomainError(f"no such file: {path}") from None
         except OSError as exc:
             raise DomainError(f"cannot read {path}: {exc.strerror}") from None
-    checked = 0
+    checked, recount = 0, _grid_counts_memo()
     with lines as stream:
         for lineno, raw in enumerate(stream, start=1):
             try:
@@ -367,7 +383,7 @@ def cmd_verify(args) -> int:
                 rec = _DECODER.decode(line)
                 if not isinstance(rec, dict):
                     raise DomainError("record is not an object")
-                _verify_record(rec)
+                _verify_record(rec, recount)
             except ZtetraError as exc:
                 raise VerificationError(f"{path}:{lineno}: {exc}") from exc
             except (KeyError, TypeError, ValueError, RecursionError) as exc:

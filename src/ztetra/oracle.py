@@ -7,13 +7,18 @@ for enumerate_t0 and grid_counts: the grid scans referee grid counts
 and no longer produce them.  One clique search serves every scan, and
 it stores only the pairs at the squared distances its caller reads: all
 of them for triangles, 2*k*k for tetrahedra, 2*ell*ell on the sphere of
-brute_t0.  Guards keep the scans at desk scale unless explicitly overridden.
+brute_t0.  It pairs a point only with points whose coordinate sum has
+the same parity: a triangle's squared side s is 2P.Q for its edges P and
+Q from one vertex, so it is even, and |P|^2 has the parity of
+Px + Py + Pz.  Guards keep the scans at desk scale unless explicitly
+overridden.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import combinations
 from math import isqrt
 from operator import attrgetter
 from pathlib import Path
@@ -39,11 +44,22 @@ def _cliques(points: list[Point], size: int, keep) -> Iterator[tuple[int, ...]]:
     A graph is stored as the later neighbours of each point, and only
     for the squared distances keep accepts; keep is asked once per
     distance, and None keeps them all.
+
+    A point is paired only with points whose coordinate sum has the same
+    parity.  Three points at equal pairwise squared distance s, one of
+    them moved to the origin and the others P and Q, have
+    s = |P - Q|^2 = 2s - 2P.Q, so s = 2P.Q is even; and since
+    |P|^2 = Px + Py + Pz (mod 2), every edge of a triangle or tetrahedron
+    joins two points of one class.  Pairs across the classes would only
+    fill graphs with no clique.
     """
+    classes: tuple[list[int], list[int]] = ([], [])
+    for i, p in enumerate(points):
+        classes[sum(p) % 2].append(i)
     graphs: dict[int, dict[int, set[int]] | None] = {}
-    for i, pi in enumerate(points):
-        for j in range(i + 1, len(points)):
-            s2 = dist_sq(pi, points[j])
+    for cls in classes:
+        for i, j in combinations(cls, 2):
+            s2 = dist_sq(points[i], points[j])
             if s2 not in graphs:
                 graphs[s2] = {} if keep is None or keep(s2) else None
             if graphs[s2] is not None:
@@ -70,8 +86,14 @@ def _is_twice_square(s2: int) -> bool:
 def _scan(points, size: int, keep, verify) -> list:
     """The size-cliques of the equal-distance graphs on the distinct
     points (see _cliques for keep) as point tuples, each confirmed by
-    verify, sorted."""
-    pts = sorted({tuple(p) for p in points})
+    verify, sorted.  A point that is not a tuple or list of three ints (a
+    bool is not one) raises DomainError naming the first such point, before
+    any pairing."""
+    pts = list(points)
+    for p in pts:
+        if type(p) not in (tuple, list) or len(p) != 3 or any(type(c) is not int for c in p):
+            raise DomainError(f"point {p!r} is not three integers")
+    pts = sorted({tuple(p) for p in pts})
     shapes = sorted(tuple(map(pts.__getitem__, clique)) for clique in _cliques(pts, size, keep))
     for shape in shapes:
         verify(*shape)
@@ -83,7 +105,8 @@ def scan_triangles(points) -> list[Triangle]:
 
     Candidates are 3-cliques of the equal-distance graphs; each one is
     confirmed with verify_equilateral after translating a vertex to the
-    origin.  Output is sorted.
+    origin.  Output is sorted; a point that is not three ints raises
+    DomainError.
     """
     return _scan(points, 3, None, lambda a, b, c: verify_equilateral(sub(b, a), sub(c, a)))
 
@@ -95,7 +118,8 @@ def scan_tetrahedra(points) -> list[Tetrahedron]:
     pairs at squared distances 2*k*k are stored: a lattice tetrahedron
     has no other squared side (the tests check this against a scan of
     every 4-point subset at every distance).  Every candidate is
-    confirmed with verify_regular.  Output is sorted.
+    confirmed with verify_regular.  Output is sorted; a point that is
+    not three ints raises DomainError.
     """
     return _scan(points, 4, _is_twice_square, verify_regular)
 

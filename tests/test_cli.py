@@ -639,6 +639,31 @@ def test_verify_recounts_a_grid_count_with_its_referee(capsys, tmp_path):
         1, "error: <file>:1: recorded value 18 != 80, the grid_triangles in {0..2}^3\n")
 
 
+def test_verify_walks_grid_counts_once_per_shape_and_n(capsys, tmp_path, monkeypatch):
+    walks = []
+    walk = cli.grid_counts
+    monkeypatch.setattr(cli, "grid_counts", lambda n, shape: walks.append((n, shape)) or walk(n, shape))
+    count = '{"kind":"count","what":"grid_%s","n":%d,"shape":"%s","value":%d}'
+    tetra8, triangle4 = count % ("tetrahedra", 8, "tetra", 3792), count % ("triangles", 4, "triangle", 1264)
+    diff = ('{"kind":"diff","what":"bfile","shape":"tetra","offset":0,"matched":false,'
+            '"mismatches":[[3,%d,73]],"missing":[]}')
+    assert verify_lines(capsys, tmp_path, *[tetra8] * 20)[0] == 0
+    assert walks == [(8, "tetra")]
+    walks.clear()
+    # A diff or count at a smaller n reads the longer list already walked.
+    assert verify_lines(capsys, tmp_path, tetra8, triangle4, diff % 72, count % ("tetrahedra", 3, "tetra", 72),
+                        tetra8, triangle4)[0] == 0
+    assert walks == [(8, "tetra"), (4, "triangle")]
+    walks.clear()
+    assert verify_lines(capsys, tmp_path, *[tetra8] * 19, count % ("tetrahedra", 3, "tetra", 73)) == (
+        1, "error: <file>:20: recorded value 73 != 72, the grid_tetrahedra in {0..3}^3\n")
+    assert verify_lines(capsys, tmp_path, tetra8, diff % 71) == (
+        1, "error: <file>:2: mismatch [3, 71, 73] records ours 71 != 72, the grid_tetrahedra in {0..3}^3\n")
+    assert verify_lines(capsys, tmp_path, triangle4, triangle4.replace("1264", "1265")) == (
+        1, "error: <file>:2: recorded value 1265 != 1264, the grid_triangles in {0..4}^3\n")
+    assert walks == [(8, "tetra"), (8, "tetra"), (4, "triangle")]
+
+
 def test_verify_bounds_an_oracle_diff_by_the_brute_force_cap(capsys, tmp_path):
     # oracle-compare rejects ell above BRUTE_T0_MAX = 100.
     diff = '{"kind":"diff","what":"t0_oracle","ell":%d,"missing":[],"extra":[]}'

@@ -1,11 +1,14 @@
 """Brute-force referees: grid scans, sphere scans, b-file comparison."""
 
 import hashlib
+import re
 import time
 from itertools import combinations
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztetra import (
     DomainError,
@@ -42,16 +45,23 @@ def test_grid_counts_invariant_under_reflection():
     assert len(scan_tetrahedra(mirrored)) == len(brute_tetrahedra_grid(n))
 
 
+def _d2(p, q):
+    return sum((a - b) ** 2 for a, b in zip(p, q))
+
+
+def _equal_side_triples(pts):
+    """Every 3-point subset of pts whose three squared distances are equal,
+    at every distance, in the sorted order of the scans.  Three distinct
+    points with three equal sides are an equilateral triangle."""
+    return [(a, b, c) for a, b, c in combinations(sorted(set(pts)), 3) if _d2(a, b) == _d2(a, c) == _d2(b, c)]
+
+
 def _equal_side_quadruples(pts):
     """Every 4-point subset of pts whose six squared distances are equal,
     at every distance, in the sorted order of the scans.  Four distinct
     points with six equal sides are a regular tetrahedron."""
-
-    def d2(p, q):
-        return sum((a - b) ** 2 for a, b in zip(p, q))
-
     return [(a, b, c, d) for a, b, c, d in combinations(sorted(set(pts)), 4)
-            if d2(a, b) == d2(a, c) == d2(a, d) == d2(b, c) == d2(b, d) == d2(c, d)]
+            if _d2(a, b) == _d2(a, c) == _d2(a, d) == _d2(b, c) == _d2(b, d) == _d2(c, d)]
 
 
 def test_pruned_scan_loses_nothing():
@@ -60,12 +70,57 @@ def test_pruned_scan_loses_nothing():
         assert _equal_side_quadruples(pts) == scan_tetrahedra(pts)
 
 
+def test_triangle_scan_loses_nothing():
+    for n in (1, 2, 3):
+        pts = [(x, y, z) for x in range(n + 1) for y in range(n + 1) for z in range(n + 1)]
+        assert _equal_side_triples(pts) == scan_triangles(pts)
+
+
+# The cube's tetrahedron {100, 010, 001, 111}: every coordinate sum is odd.
+_ODD_TETRAHEDRON = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(-9, 9)] * 3),
+       st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=12),
+       st.booleans())
+def test_scans_match_every_subset_on_mixed_parity_points(shift, offsets, with_tetrahedron):
+    # The shift's coordinate sum is odd or even, so the odd tetrahedron lands in either class.
+    pts = [(x + shift[0], y + shift[1], z + shift[2])
+           for x, y, z in offsets + (_ODD_TETRAHEDRON if with_tetrahedron else [])]
+    assert scan_triangles(pts) == _equal_side_triples(pts)
+    assert scan_tetrahedra(pts) == _equal_side_quadruples(pts)
+
+
+@pytest.mark.parametrize("scan", [scan_triangles, scan_tetrahedra])
+@pytest.mark.parametrize("bad", [(1.0, 0, 0), (0, 1), (0, 1, 0, 1), (True, 0, 0), (0, "1", 0), "011", 5],
+                         ids=["float", "two", "four", "bool", "str-coordinate", "str", "int"])
+def test_scans_reject_points_outside_z3(scan, bad):
+    with pytest.raises(DomainError, match=re.escape(f"point {bad!r} is not three integers")):
+        scan([(0, 0, 0), (1, 1, 0), bad, (0, 1, 1), (0.5, 0, 0)])
+
+
+def test_scans_reject_a_non_lattice_triangle():
+    with pytest.raises(DomainError, match=re.escape("point (0.5, 0, 0) is not three integers")):
+        scan_triangles([(0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5)])
+
+
 def test_every_tetrahedron_side_is_twice_a_square():
     pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
     from ztetra.triangle import dist_sq
 
     for tet in _equal_side_quadruples(pts):
         assert _is_twice_square(dist_sq(tet[0], tet[1]))
+
+
+def test_every_triangle_side_is_even():
+    # So every edge joins two points whose coordinate sums share a parity (see oracle._cliques).
+    pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+    tris = _equal_side_triples(pts)
+    assert tris
+    for a, b, _ in tris:
+        assert _d2(a, b) % 2 == 0
+        assert sum(a) % 2 == sum(b) % 2
 
 
 # SHA-256 of repr() of each referee's output: a refactor of the scans
