@@ -4,23 +4,28 @@ Nothing here knows about the coefficient machinery: candidates come
 from raw distance bookkeeping over explicit point sets and every hit is
 confirmed by the verify functions, so these scans are a fair referee
 for enumerate_t0 and grid_counts: the grid scans referee grid counts
-and no longer produce them.  One clique search serves every scan, and
-it stores only the pairs at the squared distances its caller reads: all
-of them for triangles, 2*k*k for tetrahedra, 2*ell*ell on the sphere of
-brute_t0.  It pairs a point only with points whose coordinate sum has
-the same parity: a triangle's squared side s is 2P.Q for its edges P and
-Q from one vertex, so it is even, and |P|^2 has the parity of
-Px + Py + Pz.  Guards keep the scans at desk scale unless explicitly
-overridden.
+and no longer produce them.  One clique search serves every scan, on
+the equal-distance graphs of only the squared distances its caller
+reads: all of them for triangles, 2*k*k for tetrahedra, 2*ell*ell on
+the sphere of brute_t0.  The scans of arbitrary points build them by
+pairing a point only with points whose coordinate sum has the same
+parity: a triangle's squared side s is 2P.Q for its edges P and Q from
+one vertex, so it is even, and |P|^2 has the parity of Px + Py + Pz.
+brute_t0 and brute_tetrahedra_grid know their points and squared sides,
+and translate instead: Q is at squared distance s from P exactly when
+Q - P is a lattice vector of squared length s, and with W = 4m + 1 for
+m the largest |coordinate| of the points and vectors, (x*W + y)*W + z
+encodes every P + v one-to-one and in order.  Guards keep the scans at
+desk scale unless explicitly overridden.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import isqrt
-from operator import attrgetter
+from operator import add
 from pathlib import Path
 
 from .errors import DomainError, RangeError
@@ -29,21 +34,20 @@ from .tetra import LatticeTetrahedron, verify_regular
 from .triangle import ORIGIN, Point, dist_sq, sub, verify_equilateral
 
 GRID_GUARD = 6
-# brute_t0 finds its sphere in about ell^2 steps, then pairs up the sphere's
-# points: 0.74-0.90 s at ell = 91, the slowest ell up to 100 (2-vCPU VM).
+# brute_t0 finds its sphere in about ell^2 steps, then translates each point
+# along the sphere: 0.09-0.21 s at ell = 91 and 95, the slowest ell up to 100
+# (2-vCPU VM).
 BRUTE_T0_MAX = 100
 
 Triangle = tuple[Point, Point, Point]
 Tetrahedron = tuple[Point, Point, Point, Point]
 
 
-def _cliques(points: list[Point], size: int, keep) -> Iterator[tuple[int, ...]]:
-    """Yield each 3-clique (size 3) or 4-clique (size 4) of each
-    equal-distance graph on points once, as increasing indices.
-
-    A graph is stored as the later neighbours of each point, and only
-    for the squared distances keep accepts; keep is asked once per
-    distance, and None keeps them all.
+def _pair_graphs(points: list[Point], keep) -> list[dict[int, set[int]]]:
+    """The equal-distance graphs on points from one pass over its pairs,
+    each stored as the later neighbours of each point, and only for the
+    squared distances keep accepts; keep is asked once per distance, and
+    None keeps them all.
 
     A point is paired only with points whose coordinate sum has the same
     parity.  Three points at equal pairwise squared distance s, one of
@@ -64,7 +68,40 @@ def _cliques(points: list[Point], size: int, keep) -> Iterator[tuple[int, ...]]:
                 graphs[s2] = {} if keep is None or keep(s2) else None
             if graphs[s2] is not None:
                 graphs[s2].setdefault(i, set()).add(j)
-    for graph in filter(None, graphs.values()):
+    return list(filter(None, graphs.values()))
+
+
+def _translation_graphs(points: list[Point], lengths: list[list[Point]]) -> list[dict[int, set[int]]]:
+    """The equal-distance graphs on the sorted points, stored as
+    _pair_graphs stores them, one per list of all the vectors of one
+    squared length s that can join two of the points.
+
+    Q is at squared distance s from P exactly when Q - P is a vector of
+    squared length s, so the later neighbours of P are the points among
+    P + v for the vectors v that sort after the origin.  Each point and
+    vector is encoded as (x*W + y)*W + z with W = 4m + 1, m the largest
+    |coordinate| among them: the map is linear, and one-to-one and
+    order-preserving on triples with coordinates within +-2m, which holds
+    every P + v, so one set intersection finds the neighbours of a point.
+    """
+    w = 4 * max(map(abs, chain.from_iterable(chain(points, *lengths))), default=0) + 1
+    index = {(x * w + y) * w + z: i for i, (x, y, z) in enumerate(points)}
+    codes = set(index)
+    graphs = []
+    for vectors in lengths:
+        ahead = [c for c in ((x * w + y) * w + z for x, y, z in vectors) if c > 0]
+        graph = {}
+        for e, i in index.items():
+            if hits := codes.intersection(map(add, repeat(e), ahead)):
+                graph[i] = set(map(index.__getitem__, hits))
+        graphs.append(graph)
+    return graphs
+
+
+def _cliques(graphs: list[dict[int, set[int]]], size: int) -> Iterator[tuple[int, ...]]:
+    """Yield each 3-clique (size 3) or 4-clique (size 4) of each graph of
+    later neighbours once, as increasing indices."""
+    for graph in graphs:
         for i, after_i in graph.items():
             for j in after_i:
                 common = after_i.intersection(graph.get(j, ()))
@@ -83,18 +120,18 @@ def _is_twice_square(s2: int) -> bool:
     return root * root == half
 
 
-def _scan(points, size: int, keep, verify) -> list:
-    """The size-cliques of the equal-distance graphs on the distinct
-    points (see _cliques for keep) as point tuples, each confirmed by
-    verify, sorted.  A point that is not a tuple or list of three ints (a
-    bool is not one) raises DomainError naming the first such point, before
-    any pairing."""
+def _scan(points, size: int, graphs, verify) -> list:
+    """The size-cliques of the graphs that graphs (_pair_graphs or
+    _translation_graphs) builds on the sorted distinct points, as point
+    tuples, each confirmed by verify, sorted.  A point that is not a tuple
+    or list of three ints (a bool is not one) raises DomainError naming
+    the first such point, before any pairing."""
     pts = list(points)
     for p in pts:
         if type(p) not in (tuple, list) or len(p) != 3 or any(type(c) is not int for c in p):
             raise DomainError(f"point {p!r} is not three integers")
     pts = sorted({tuple(p) for p in pts})
-    shapes = sorted(tuple(map(pts.__getitem__, clique)) for clique in _cliques(pts, size, keep))
+    shapes = sorted(tuple(map(pts.__getitem__, clique)) for clique in _cliques(graphs(pts), size))
     for shape in shapes:
         verify(*shape)
     return shapes
@@ -108,7 +145,8 @@ def scan_triangles(points) -> list[Triangle]:
     origin.  Output is sorted; a point that is not three ints raises
     DomainError.
     """
-    return _scan(points, 3, None, lambda a, b, c: verify_equilateral(sub(b, a), sub(c, a)))
+    return _scan(points, 3, lambda pts: _pair_graphs(pts, None),
+                 lambda a, b, c: verify_equilateral(sub(b, a), sub(c, a)))
 
 
 def scan_tetrahedra(points) -> list[Tetrahedron]:
@@ -121,7 +159,7 @@ def scan_tetrahedra(points) -> list[Tetrahedron]:
     confirmed with verify_regular.  Output is sorted; a point that is
     not three ints raises DomainError.
     """
-    return _scan(points, 4, _is_twice_square, verify_regular)
+    return _scan(points, 4, lambda pts: _pair_graphs(pts, _is_twice_square), verify_regular)
 
 
 def _check_grid_size(n: int, force: bool) -> None:
@@ -150,9 +188,12 @@ def brute_tetrahedra_grid(n: int, *, force: bool = False) -> list[Tetrahedron]:
     """Regular tetrahedra with vertices in the cube {0..n}^3.
 
     The n = 1 cube contains exactly the 2 inscribed regular tetrahedra.
+    Neighbours are found by translation along the vectors in {-n..n}^3 of
+    each squared length 2*k*k <= 3*n*n, the only sides (scan_tetrahedra).
     """
     _check_grid_size(n, force)
-    return scan_tetrahedra(_grid_points(n))
+    lengths = [[v for v in _sphere(2 * k * k) if max(map(abs, v)) <= n] for k in range(1, isqrt(3 * n * n // 2) + 1)]
+    return _scan(_grid_points(n), 4, lambda pts: _translation_graphs(pts, lengths), verify_regular)
 
 
 def _sphere(r2: int) -> list[Point]:
@@ -174,16 +215,18 @@ def brute_t0(ell: int) -> list[LatticeTetrahedron]:
     2*ell*ell, found by raw sphere scanning, sorted by vertices.
 
     The other three vertices lie on the sphere of squared radius
-    2*ell*ell and are pairwise at that same squared distance, so they
-    are the 3-cliques of that distance graph, each found once.  Finding
-    the sphere takes about ell^2 steps, the pair scan the square of
-    its size.  ell above BRUTE_T0_MAX raises RangeError before any scan.
+    2*ell*ell and are pairwise at that same squared distance, so with the
+    origin they are the 4-cliques of that distance graph, found by
+    translation along the sphere itself; no four points of the sphere
+    form one, as a regular tetrahedron of squared side s has squared
+    circumradius 3s/8.  Finding the sphere takes about ell^2 steps, the
+    translation the square of its size.  ell above BRUTE_T0_MAX raises
+    RangeError before any scan.
     """
     check_range("ell", ell, 1, BRUTE_T0_MAX)
-    target = 2 * ell * ell
-    sphere = _sphere(target)
-    return sorted((LatticeTetrahedron.from_vertices((ORIGIN, sphere[i], sphere[j], sphere[t]))
-                   for i, j, t in _cliques(sphere, 3, lambda s2: s2 == target)), key=attrgetter("vertices"))
+    sphere = _sphere(2 * ell * ell)
+    return [LatticeTetrahedron.from_vertices(tet)
+            for tet in _scan(sphere + [ORIGIN], 4, lambda pts: _translation_graphs(pts, [sphere]), verify_regular)]
 
 
 class ComparisonReport(namedtuple("ComparisonReport", "missing extra")):

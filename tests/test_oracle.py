@@ -3,6 +3,7 @@
 import hashlib
 import re
 import time
+from functools import cache
 from itertools import combinations
 from math import isqrt
 
@@ -23,7 +24,8 @@ from ztetra import (
     scan_tetrahedra,
     scan_triangles,
 )
-from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _is_twice_square, _sphere
+from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _grid_points, _is_twice_square, _sphere
+from ztetra.triangle import ORIGIN
 
 
 def test_grid_counts_small():
@@ -64,10 +66,16 @@ def _equal_side_quadruples(pts):
             if _d2(a, b) == _d2(a, c) == _d2(a, d) == _d2(b, c) == _d2(b, d) == _d2(c, d)]
 
 
+@cache
+def _grid_quadruples(n):
+    """_equal_side_quadruples over {0..n}^3, computed once per n: n = 3
+    walks all 635,376 subsets, and two tests read it."""
+    return _equal_side_quadruples(_grid_points(n))
+
+
 def test_pruned_scan_loses_nothing():
     for n in (1, 2, 3):
-        pts = [(x, y, z) for x in range(n + 1) for y in range(n + 1) for z in range(n + 1)]
-        assert _equal_side_quadruples(pts) == scan_tetrahedra(pts)
+        assert _grid_quadruples(n) == scan_tetrahedra(_grid_points(n))
 
 
 def test_triangle_scan_loses_nothing():
@@ -106,15 +114,26 @@ def test_scans_reject_a_non_lattice_triangle():
 
 
 def test_every_tetrahedron_side_is_twice_a_square():
-    pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
     from ztetra.triangle import dist_sq
 
-    for tet in _equal_side_quadruples(pts):
+    for tet in _grid_quadruples(3):
         assert _is_twice_square(dist_sq(tet[0], tet[1]))
 
 
+def test_grid_translation_matches_the_pair_scan():
+    # brute_tetrahedra_grid finds neighbours by translation, scan_tetrahedra by pairing.
+    for n in range(GRID_GUARD + 1):
+        assert brute_tetrahedra_grid(n, force=True) == scan_tetrahedra(_grid_points(n)), n
+
+
+def test_brute_t0_matches_the_pair_scan_of_its_sphere():
+    for ell in range(1, 21):
+        tets = scan_tetrahedra(_sphere(2 * ell * ell) + [ORIGIN])
+        assert [t.vertices for t in brute_t0(ell)] == [tet for tet in tets if ORIGIN in tet], ell
+
+
 def test_every_triangle_side_is_even():
-    # So every edge joins two points whose coordinate sums share a parity (see oracle._cliques).
+    # So every edge joins two points whose coordinate sums share a parity (see oracle._pair_graphs).
     pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
     tris = _equal_side_triples(pts)
     assert tris
