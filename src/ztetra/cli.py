@@ -1,21 +1,16 @@
 """Command line interface emitting line-delimited structured records.
 
-Every subcommand prints one JSON object per line with sorted keys and
-no whitespace, so identical arguments give byte-identical output across
-runs.  A record is the fields of its library named tuple (_asdict) plus
-a kind and what is not a field: a quadruple's q, a b-file diff's matched,
-a provenance.  _write prints every record but the enumerate-t0 tetrahedra,
-which fill in the template _T0_LINE, and _write_count the count record
-that ends a run, the only record --format csv covers.  triangles and
-complete write what _plane_records builds, and verify checks a record with
-their provenance by running it again.  verify reads every tetrahedron
-through LatticeTetrahedron.from_vertices and recounts every count but its
-own.  grid-count, its --bfile diff and verify's recount of a grid count or
-a diff are one grid_counts call, which sums the translates of the origin
-shapes (verify walks each shape at most once per n in a run); the oracle's
-grid scans referee it and are not imported here.
-Exit codes: 0 success, 1 domain or verification failure (including a
-nonempty oracle diff), 2 usage errors.
+Every subcommand prints one JSON object per line with sorted keys and no
+whitespace, so identical arguments give byte-identical output across runs.
+A record is the fields of its library named tuple (_asdict) plus a kind and
+what is not a field (a quadruple's q, a b-file diff's matched, a provenance).
+verify rebuilds each record from its independent fields through the library
+(_REBUILDS) and requires the record to equal that rebuild; a triangles or
+complete provenance must rebuild the whole record through _plane_records.
+grid-count, its --bfile diff and verify's recounts are grid_counts calls; the
+oracle's grid scans referee it and are not imported here.  Exit codes: 0
+success, 1 domain or verification failure (including a nonempty oracle
+diff), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -25,11 +20,12 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from .eisenstein import TRIPLES_KMAX, EisensteinTriple, omega, primitive_triples, zeta
 from .errors import DomainError, UsageError, VerificationError, ZtetraError
-from .numtheory import INT64_MAX, THREE_D2_DMAX, NormalQuadruple, solve_three_d2
+from .numtheory import INT64_MAX, THREE_D2_DMAX, NormalQuadruple, check_range, solve_three_d2
 from .oracle import BRUTE_T0_MAX, brute_t0, compare, compare_with_bfile, read_bfile
 from .tetra import (
     GRID_COUNT_MAX,
@@ -171,191 +167,172 @@ def cmd_oracle_compare(args) -> int:
     return 0 if report.is_empty() else 1
 
 
-def _not_an_integer(text: str):
-    raise ValueError(f"not an integer: {text}")
+# No producer writes a float, NaN or Infinity, and int() parses none of their JSON
+# texts, so verify's decoder rejects them anywhere.
+_DECODER = json.JSONDecoder(parse_float=int, parse_constant=int)
 
 
-# No producer emits a float, NaN or Infinity, so verify's decoder rejects them anywhere.
-_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+def _recount(walked: dict[str, list[int]], n: int, shape: str) -> list[int]:
+    """grid_counts(n, shape) for one verify run, which keeps the longest list of
+    each shape in walked: entry i of grid_counts(n, shape) is grid_counts(i, shape)[-1]."""
+    check_range("n", n, 0, GRID_COUNT_MAX)
+    if len(walked.get(shape, ())) <= n:
+        walked[shape] = grid_counts(n, shape)
+    return walked[shape][:n + 1]
 
-_INT = ()  # the list shape of one integer
 
-# The provenance objects of the producers that write one: triangles writes
-# its plane's quad and (r, s) with the pair (m, n); complete adds the sign of
-# the apex side, and enumerate-t0 writes its ell.
-_PLANE = {"quad": (4,), "r": _INT, "s": _INT, "m": _INT, "n": _INT}
-_COMPLETE = {**_PLANE, "sign": {1, -1}}
+# Each rebuild takes a record's independent fields through the library and
+# returns what their producer writes, derived fields recomputed, as decoded
+# JSON holds it.  Every value it takes from the record passes through a
+# validating constructor, check_range, int() or arithmetic, or is compared with
+# a value so computed, and every list in it is built anew, so the record equals
+# its rebuild only where each field has the type its producer writes.
+# recount is _recount for the run.
 
-# The fields of each record a producer writes, besides kind and what, keyed
-# by kind, or by (kind, what) for count and diff records.  A field is a list
-# shape of integers (_INT one integer, (3,) a list of three, (None, 3) any
-# number of lists of three), an integer N for any integer at least N, a
-# range of allowed integers, bool for a JSON boolean, a set of allowed
-# values, or a list of rows for an object holding exactly the fields of one
-# of them.  Only provenance, a field of that last kind, may be left out.
-_ROWS = {
-    "tetrahedron": {"vertices": (4, 3), "side_sq": _INT, "ell": 1, "provenance": [{"ell": 1}, _COMPLETE]},
-    "triangle": {"p": (3,), "q": (3,), "side_sq": _INT, "provenance": [_PLANE]},
-    "quadruple": {"a": _INT, "b": _INT, "c": _INT, "d": _INT, "q": _INT},
-    "normal-set": {"faces": (4, 4), "provenance": [_COMPLETE]},
-    "pair": {"m": _INT, "n": _INT, "k": _INT},
-    "triple": {"m": _INT, "n": _INT, "k": _INT, "u": _INT, "v": _INT, "form": _INT},
-    ("count", "tetrahedra_t0"): {"ell": 1, "value": 0},
-    **{("count", what): {"n": range(GRID_COUNT_MAX + 1), "shape": {shape}, "value": 0}
-       for shape, what in _GRID_SHAPES.items()},
-    ("count", "verified_records"): {"value": 0},
-    ("diff", "bfile"): {"shape": set(_GRID_SHAPES), "offset": {0, 1}, "matched": bool,
-                        "mismatches": (None, 3), "missing": (None,)},
-    ("diff", "t0_oracle"): {"ell": range(1, BRUTE_T0_MAX + 1), "missing": (None, 4, 3),
-                            "extra": (None, 4, 3)},
+def _tetrahedron(rec: dict, recount) -> dict:
+    tet = LatticeTetrahedron.from_vertices(rec["vertices"])
+    built = {"kind": "tetrahedron", "vertices": [list(p) for p in rec["vertices"]], "side_sq": tet.side_sq,
+             "ell": tet.ell}
+    if "ell" in rec.get("provenance", ()):  # enumerate-t0 writes T0(ell), vertices sorted
+        if ORIGIN not in tet.vertices:
+            raise VerificationError(f"vertices {rec['vertices']} are not a member of T0({tet.ell})")
+        built.update(vertices=list(map(list, tet.vertices)), provenance={"ell": tet.ell})
+    return built
+
+
+def _triangle(rec: dict, recount) -> dict:
+    (x, y, z), (u, v, w) = rec["p"], rec["q"]
+    p, q = [x, y, z], [u, v, w]
+    return {"kind": "triangle", "p": p, "q": q, "side_sq": verify_equilateral(p, q)}
+
+
+def _quadruple(rec: dict, recount) -> dict:
+    quad = NormalQuadruple(rec["a"], rec["b"], rec["c"], rec["d"])
+    return {"kind": "quadruple", **quad._asdict(), "q": quad.q}
+
+
+def _pair(rec: dict, recount) -> dict:
+    return {"kind": "pair", **dict(zip("mnk", EisensteinTriple(rec["m"], rec["n"], rec["k"])))}
+
+
+def _normal_set(rec: dict, recount) -> dict:
+    faces = rec["faces"]
+    if len(faces) != 4 or not verify_orthogonality(FaceNormalSet(tuple(NormalQuadruple(*f) for f in faces))):
+        raise VerificationError("face normals fail the orthogonality identities")
+    return {"kind": "normal-set", "faces": [list(f) for f in faces]}
+
+
+def _triple(rec: dict, recount) -> dict:
+    u, v, form = rec["u"], rec["v"], rec["form"]  # (m, n) by the formulas of EisensteinTriple
+    mn = {1: (v * v - u * u, 2 * u * v - u * u), 2: (2 * u * v - u * u, 2 * u * v - v * v)}.get(form)
+    if mn is None:
+        raise VerificationError(f"triple form must be 1 or 2, got {form!r}")
+    return {"kind": "triple", **EisensteinTriple(*mn, zeta(u, v), u, v, form)._asdict()}
+
+
+def _t0_count(rec: dict, recount) -> dict:
+    return {"kind": "count", "what": "tetrahedra_t0", "ell": rec["ell"], "value": count_t0(rec["ell"])}
+
+
+def _grid_count(rec: dict, recount) -> dict:
+    n, shape = rec["n"], rec["shape"]
+    return {"kind": "count", "what": _GRID_SHAPES[shape], "n": n, "shape": shape, "value": recount(n, shape)[-1]}
+
+
+def _verified_count(rec: dict, recount) -> dict:
+    check_range("value", rec["value"], 0)
+    return {"kind": "count", "what": "verified_records", "value": rec["value"]}
+
+
+def _bfile_diff(rec: dict, recount) -> dict:
+    shape, missing = rec["shape"], list(rec["missing"])
+    mismatches = [[i, ours, int(theirs)] for i, ours, theirs in rec["mismatches"]]  # any b-file term
+    check_range("offset", rec["offset"], 0, 1)
+    if type(rec["matched"]) is not bool:  # == takes 1 for true; see also _verify_record
+        raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
+    # compare_with_bfile lists each grid size once, in increasing order, as a mismatch or as missing.
+    sizes = [i for i, _, _ in mismatches]
+    for listed in (sizes, missing):
+        if listed != sorted(set(listed)) or listed and not 0 <= listed[0] <= listed[-1] <= GRID_COUNT_MAX:
+            raise VerificationError(f"grid sizes {listed} are not increasing in [0, {GRID_COUNT_MAX}]")
+    if set(sizes) & set(missing):
+        raise VerificationError(f"grid sizes {sorted(set(sizes) & set(missing))} are mismatched and missing")
+    counts = recount(sizes[-1] if sizes else 0, shape)  # also rejects a shape grid_counts does not count
+    for i, ours, theirs in mismatches:
+        if ours == theirs:
+            raise VerificationError(f"mismatch {[i, ours, theirs]} has ours equal to theirs")
+        if ours != counts[i]:
+            raise VerificationError(f"mismatch {[i, ours, theirs]} records ours {ours} != {counts[i]}, "
+                                    f"the {_GRID_SHAPES[shape]} in {{0..{i}}}^3")
+    return {"kind": "diff", "what": "bfile", "shape": shape, "offset": rec["offset"],
+            "matched": not mismatches and not missing, "mismatches": mismatches, "missing": missing}
+
+
+def _oracle_diff(rec: dict, recount) -> dict:
+    # Each listed tetrahedron is a distinct member of T0(ell), with a vertex at the origin.
+    ell, seen = rec["ell"], set()
+    check_range("ell", ell, 1, BRUTE_T0_MAX)
+    for vertices in (*rec["missing"], *rec["extra"]):
+        tet = LatticeTetrahedron.from_vertices(vertices)
+        if ORIGIN not in tet.vertices or tet.ell != ell:
+            raise VerificationError(f"tetrahedron {vertices} is not in T0({ell})")
+        if tet in seen:
+            raise VerificationError(f"tetrahedron {vertices} is listed twice")
+        seen.add(tet)
+    return {"kind": "diff", "what": "t0_oracle", "ell": ell, "missing": [[list(p) for p in t] for t in rec["missing"]],
+            "extra": [[list(p) for p in t] for t in rec["extra"]]}
+
+
+# The rebuild of each record a producer writes, keyed by kind, or by kind and what for counts and diffs.
+_REBUILDS = {
+    "tetrahedron": _tetrahedron,
+    "triangle": _triangle,
+    "quadruple": _quadruple,
+    "normal-set": _normal_set,
+    "pair": _pair,
+    "triple": _triple,
+    ("count", "tetrahedra_t0"): _t0_count,
+    **{("count", what): _grid_count for what in _GRID_SHAPES.values()},
+    ("count", "verified_records"): _verified_count,
+    ("diff", "bfile"): _bfile_diff,
+    ("diff", "t0_oracle"): _oracle_diff,
 }
 
 
-def _check_field(name: str, value, spec) -> None:
-    """Require value to fit spec, a field of _ROWS; raises TypeError or ValueError."""
-    if type(spec) is tuple:
-        items = [value]
-        for size in spec:
-            for item in items:
-                if type(item) is not list or size is not None and len(item) != size:
-                    raise TypeError(f"{name} must be nested lists of shape {spec}, got {value!r}")
-            items = [x for item in items for x in item]
-        for item in items:
-            if type(item) is not int:
-                raise TypeError(f"{name} must hold only integers, got {value!r}")
-    elif spec is bool:
-        if type(value) is not bool:
-            raise TypeError(f"{name} must be a boolean, got {value!r}")
-    elif type(spec) is int:
-        if type(value) is not int or value < spec:
-            raise ValueError(f"{name} must be an integer of at least {spec}, got {value!r}")
-    elif type(spec) is range:
-        if type(value) is not int or value not in spec:
-            raise ValueError(f"{name} must be an integer in [{spec[0]}, {spec[-1]}], got {value!r}")
-    elif type(spec) is list:
-        row = next((row for row in spec if type(value) is dict and value.keys() == row.keys()), None)
-        if row is None:
-            raise ValueError(f"{name} must hold exactly the fields of one of {[sorted(r) for r in spec]}, "
-                             f"got {value!r}")
-        for key, sub in row.items():
-            _check_field(f"{name}.{key}", value[key], sub)
-    elif type(value) not in (int, str) or value not in spec:
-        raise ValueError(f"{name} must be one of {sorted(spec)}, got {value!r}")
-
-
-def _grid_counts_memo():
-    """grid_counts for one verify run: a shape is walked again only for an n
-    past its longest list so far, as entry i of grid_counts(n, shape) is
-    grid_counts(i, shape)[-1]."""
-    walked: dict[str, list[int]] = {}
-
-    def counts(n: int, shape: str) -> list[int]:
-        if len(walked.get(shape, ())) <= n:
-            walked[shape] = grid_counts(n, shape)
-        return walked[shape][:n + 1]
-
-    return counts
-
-
-def _verify_record(rec: dict, recount) -> None:
-    """Require exactly the fields of rec's row in _ROWS, then redo its producer's
-    math; recount is the run's _grid_counts_memo."""
+def _verify_record(line: str, recount) -> None:
+    """Require the record on line to equal its rebuild in _REBUILDS, with no
+    true, false or null but a bfile diff's matched, and to be rebuilt whole
+    by its triangles or complete provenance if it has one."""
+    rec = _DECODER.decode(line)
+    if type(rec) is not dict:
+        raise DomainError("record is not an object")
     kind = rec.get("kind")
     key = (kind, rec.get("what")) if kind in ("count", "diff") else kind
-    row = _ROWS.get(key)
-    if row is None:
+    rebuild = _REBUILDS.get(key)
+    if rebuild is None:
         raise ValueError(f"no producer emits a record of {key!r}")
-    head = ("kind",) if key is kind else ("kind", "what")
-    known = len(head)
-    for name, spec in row.items():
-        if name in rec:
-            known += 1
-            value = rec[name]
-            if spec is not _INT or type(value) is not int:
-                _check_field(name, value, spec)
-        elif name != "provenance":
-            raise KeyError(name)
-    if len(rec) != known:
-        extra = rec.keys() - {*row, *head}
-        raise ValueError(f"no producer writes {sorted(extra)} in a record of {key!r}")
-    if kind == "tetrahedron":
-        tet = LatticeTetrahedron.from_vertices(rec["vertices"])
-        side_sq, ell = tet.side_sq, rec["ell"]
-        if ell != tet.ell:
-            raise VerificationError(f"recorded ell {ell} does not square to {side_sq}")
-        if "ell" in rec.get("provenance", ()):
-            if rec["provenance"]["ell"] != ell:
-                raise VerificationError(f"provenance ell {rec['provenance']['ell']} is not the recorded ell {ell}")
-            # enumerate-t0 writes each member of T0(ell) with its vertices in sorted order.
-            if ORIGIN not in tet.vertices or list(map(list, tet.vertices)) != rec["vertices"]:
-                raise VerificationError(f"vertices {rec['vertices']} are not a sorted member of T0({ell})")
-    elif kind == "triangle":
-        side_sq = verify_equilateral(rec["p"], rec["q"])
-    elif kind == "quadruple":
-        quad = NormalQuadruple(rec["a"], rec["b"], rec["c"], rec["d"])
-        if rec["q"] != quad.q:
-            raise VerificationError(f"recorded q {rec['q']} != {quad.q}")
-    elif kind == "normal-set":
-        faces = tuple(NormalQuadruple(*f) for f in rec["faces"])
-        if not verify_orthogonality(FaceNormalSet(faces)):
-            raise VerificationError("face normals fail the orthogonality identities")
-    elif kind in ("pair", "triple"):
-        m, n, k = rec["m"], rec["n"], rec["k"]
-        EisensteinTriple(m, n, k)
-        if kind == "triple":  # u, v and form generate (m, n, k) by the formulas of EisensteinTriple
-            u, v, form = rec["u"], rec["v"], rec["form"]
-            forms = {1: (v * v - u * u, 2 * u * v - u * u), 2: (2 * u * v - u * u, 2 * u * v - v * v)}
-            if form not in forms:
-                raise VerificationError(f"triple form must be 1 or 2, got {form}")
-            if (m, n) != forms[form] or k != zeta(u, v):
-                raise VerificationError(f"(m, n, k) = {(m, n, k)} is not form {form} of (u, v) = {(u, v)}")
-    elif key == ("count", "tetrahedra_t0") and rec["value"] != count_t0(rec["ell"]):
-        raise VerificationError(f"recorded value {rec['value']} != {count_t0(rec['ell'])} = |T0({rec['ell']})|")
-    elif kind == "count" and "shape" in rec:
-        value = recount(rec["n"], rec["shape"])[-1]
-        if rec["value"] != value:
-            raise VerificationError(f"recorded value {rec['value']} != {value}, the {key[1]} in {{0..{rec['n']}}}^3")
-    elif key == ("diff", "bfile"):
-        mismatches, missing = rec["mismatches"], rec["missing"]
-        if rec["matched"] != (not mismatches and not missing):
-            raise VerificationError(f"matched is {rec['matched']} with {len(mismatches)} "
-                                    f"mismatches and {len(missing)} missing")
-        # compare_with_bfile lists each grid size once, in increasing order, as a mismatch or as missing.
-        sizes = [i for i, _, _ in mismatches]
-        for listed in (sizes, missing):
-            if listed != sorted(set(listed)) or listed and not 0 <= listed[0] <= listed[-1] <= GRID_COUNT_MAX:
-                raise VerificationError(f"grid sizes {listed} are not increasing in [0, {GRID_COUNT_MAX}]")
-        if set(sizes) & set(missing):
-            raise VerificationError(f"grid sizes {sorted(set(sizes) & set(missing))} are mismatched and missing")
-        counts = recount(sizes[-1], rec["shape"]) if sizes else []
-        for i, ours, theirs in mismatches:
-            if ours == theirs:
-                raise VerificationError(f"mismatch {[i, ours, theirs]} has ours equal to theirs")
-            if ours != counts[i]:
-                raise VerificationError(f"mismatch {[i, ours, theirs]} records ours {ours} != {counts[i]}, "
-                                        f"the {_GRID_SHAPES[rec['shape']]} in {{0..{i}}}^3")
-    elif key == ("diff", "t0_oracle"):
-        # Each listed tetrahedron is a distinct member of T0(ell): a regular
-        # tetrahedron with a vertex at the origin and squared side 2*ell*ell.
-        ell, seen = rec["ell"], set()
-        for vertices in (*rec["missing"], *rec["extra"]):
-            tet = LatticeTetrahedron.from_vertices(vertices)
-            if ORIGIN not in tet.vertices or tet.ell != ell:
-                raise VerificationError(f"tetrahedron {vertices} is not in T0({ell})")
-            if tet in seen:
-                raise VerificationError(f"tetrahedron {vertices} is listed twice")
-            seen.add(tet)
-    if kind in ("tetrahedron", "triangle") and side_sq != rec["side_sq"]:
-        raise VerificationError(f"recorded side_sq {rec['side_sq']} != {side_sq}")
+    # _DECODER lets no float through, and JSON spells true, false and null out, which
+    # no producer writes in a string, nor as a value but a bfile diff's matched (a bool).
+    if line.count("true") + line.count("false") + line.count("null") > (key == ("diff", "bfile")):
+        raise TypeError("no producer writes true, false or null here")
+    built = rebuild(rec, recount)
     if "quad" in rec.get("provenance", ()):
-        _check_plane(rec, rec["provenance"])
+        _check_plane(rec, rec["provenance"])  # the whole record, from its triangles or complete provenance
+        built["provenance"] = rec["provenance"]
+    if rec != built:  # name the first field, in sorted order, that is extra, missing (KeyError) or wrong
+        name = min(rec.keys() ^ built.keys() or (name for name in rec if rec[name] != built[name]))
+        if name not in built:
+            raise ValueError(f"no producer writes {name} in a record of {key!r}")
+        raise VerificationError(f"recorded {name} {_ENCODER.encode(rec[name])} != {_ENCODER.encode(built[name])}, "
+                                "rebuilt from the other fields")
 
 
 def _check_plane(rec: dict, prov: dict) -> None:
     """Require rec to be one of the records that _plane_records writes for the
     triangles or complete provenance prov; a triangle can only be the first."""
     line = _ENCODER.encode(rec)
-    records = _plane_records(prov["quad"], prov["m"], prov["n"])
+    # int(), by the rule of the rebuilds above; point_p would repeat a string m.
+    records = _plane_records(prov["quad"], int(prov["m"]), int(prov["n"]))
     if rec["kind"] == "triangle":
         records = [next(records)]
     if not any(_ENCODER.encode(built) == line for built in records):
@@ -373,22 +350,18 @@ def cmd_verify(args) -> int:
             raise DomainError(f"no such file: {path}") from None
         except OSError as exc:
             raise DomainError(f"cannot read {path}: {exc.strerror}") from None
-    checked, recount = 0, _grid_counts_memo()
+    checked, recount = 0, partial(_recount, {})
     with lines as stream:
         for lineno, raw in enumerate(stream, start=1):
             try:
                 line = raw.decode().strip()
-                if not line:
-                    continue
-                rec = _DECODER.decode(line)
-                if not isinstance(rec, dict):
-                    raise DomainError("record is not an object")
-                _verify_record(rec, recount)
+                if line:
+                    _verify_record(line, recount)
+                    checked += 1
             except ZtetraError as exc:
                 raise VerificationError(f"{path}:{lineno}: {exc}") from exc
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise DomainError(f"{path}:{lineno}: malformed record ({exc})") from exc
-            checked += 1
     _write_count(args, {"kind": "count", "what": "verified_records", "value": checked})
     return 0
 

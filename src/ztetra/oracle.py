@@ -35,9 +35,9 @@ from .triangle import ORIGIN, Point, dist_sq, sub, verify_equilateral
 
 GRID_GUARD = 6
 # brute_t0 finds its sphere in about ell^2 steps, then translates each point
-# along the sphere: 0.09-0.21 s at ell = 91 and 95, the slowest ell up to 100
-# (2-vCPU VM).
-BRUTE_T0_MAX = 100
+# along the sphere: oracle-compare takes 1.2-1.4 s at ell = 245, 285 and 295,
+# the slowest ell up to 300 (2-vCPU VM).
+BRUTE_T0_MAX = 300
 
 Triangle = tuple[Point, Point, Point]
 Tetrahedron = tuple[Point, Point, Point, Point]

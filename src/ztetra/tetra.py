@@ -38,7 +38,6 @@ from .triangle import (
     coeff_matrix,
     cross,
     dot,
-    sub,
     triangle_points,
 )
 
@@ -260,19 +259,20 @@ def grid_counts(n: int, shape: str) -> list[int]:
 def face_normals(tet: LatticeTetrahedron) -> FaceNormalSet:
     """Outward primitive normals of the four faces of tet.
 
-    Each normal is the primitive cross product of two face edges,
-    flipped to point away from the opposite vertex.  Its squared length
-    is 3*d*d for an odd d dividing tet.ell; anything else would
-    contradict the structure theory, so it raises ConstructionError.
+    In a regular tetrahedron the line from a vertex v_i to the centroid
+    of the opposite face is that face's altitude, so the normal of the
+    face is the primitive form of v0 + v1 + v2 + v3 - 4*v_i, three times
+    the vector from v_i to that centroid, which points away from v_i.
+    Its squared length is 3*d*d for an odd d dividing tet.ell; anything
+    else would contradict the structure theory, so it raises
+    ConstructionError.
     """
+    sx, sy, sz = map(sum, zip(*tet.vertices))
     faces: list[NormalQuadruple] = []
-    for i in range(4):
-        w1, w2, w3 = (v for j, v in enumerate(tet.vertices) if j != i)
-        nrm = cross(sub(w2, w1), sub(w3, w1))
-        g = gcd(gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2]))
+    for x, y, z in tet.vertices:
+        nrm = (sx - 4 * x, sy - 4 * y, sz - 4 * z)
+        g = gcd(*nrm)
         nrm = (nrm[0] // g, nrm[1] // g, nrm[2] // g)
-        if dot(nrm, sub(w1, tet.vertices[i])) < 0:
-            nrm = (-nrm[0], -nrm[1], -nrm[2])
         norm_sq = dot(nrm, nrm)
         d = isqrt(norm_sq // 3)
         if 3 * d * d != norm_sq:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: records, formats, exit codes, determinism."""
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -10,7 +11,8 @@ import time
 
 import pytest
 
-from ztetra import DomainError, EisensteinTriple, brute_tetrahedra_grid, brute_triangles_grid, enumerate_t0
+from ztetra import (DomainError, EisensteinTriple, VerificationError, brute_tetrahedra_grid, brute_triangles_grid,
+                    enumerate_t0)
 from ztetra import cli
 from ztetra.cli import cmd_verify, main
 
@@ -352,7 +354,7 @@ def test_oracle_compare_clean(capsys):
 def test_oracle_compare_rejects_a_large_ell_at_once(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert "brute force (ell <= 100)" in " ".join(capsys.readouterr().out.split())
+    assert "brute force (ell <= 300)" in " ".join(capsys.readouterr().out.split())
     start = time.perf_counter()
     code = main(["oracle-compare", "--ell", "1024"])
     elapsed = time.perf_counter() - start
@@ -360,7 +362,7 @@ def test_oracle_compare_rejects_a_large_ell_at_once(capsys):
     assert code == 1
     assert elapsed < 1.0
     assert captured.out == ""
-    assert "ell must be at most 100" in captured.err
+    assert "ell must be at most 300" in captured.err
 
 
 def test_verify_round_trip(capsys, tmp_path):
@@ -403,7 +405,7 @@ def test_verify_catches_tampering(capsys, tmp_path):
     rec["ell"] = 2
     path.write_text(json.dumps(rec) + "\n")
     assert main(["verify", "--file", str(path)]) == 1
-    assert "recorded ell 2 does not square to 2" in capsys.readouterr().err
+    assert "recorded ell 2 != 1, rebuilt from the other fields" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_kind_and_bad_json(capsys, tmp_path):
@@ -484,11 +486,6 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
                 '{"kind":"diff"}',
                 '{"kind":"count","what":7,"value":1}',
                 '{"kind":"count","what":"verified_records"}',
-                '{"kind":"count","what":"tetrahedra_t0","value":-5,"ell":-2}',
-                '{"kind":"count","what":"tetrahedra_t0","value":40,"ell":0}',
-                '{"kind":"count","what":"tetrahedra_t0","value":-5,"ell":3}',
-                '{"kind":"count","what":"grid_tetrahedra","n":-1,"shape":"tetra","value":0}',
-                '{"kind":"diff","what":"t0_oracle","ell":0,"missing":[],"extra":[]}',
                 '{"kind":"diff","what":"bfile","offset":2,"matched":true}',
                 '{"kind":"diff","what":"bfile","offset":-1,"matched":true}',
                 '{"kind":"diff","what":"bfile","offset":0,"matched":false,"mismatches":[[1,1.5,2]],"missing":[]}',
@@ -505,6 +502,20 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{path}:2: malformed record" in captured.err, bad
+    # A bound is one check_range, in verify or in the library, and a t0 count's value is recounted.
+    t0_count = '{"kind":"count","what":"tetrahedra_t0","value":%d,"ell":%d}'
+    for bad, error in ((t0_count % (-5, -2), "ell must be in [1, 2**63 - 1], got -2"),
+                       (t0_count % (40, 0), "ell must be in [1, 2**63 - 1], got 0"),
+                       (t0_count % (-5, 3), "recorded value -5 != 40, rebuilt from the other fields"),
+                       ('{"kind":"count","what":"grid_tetrahedra","n":-1,"shape":"tetra","value":0}',
+                        "n must be in [0, 2**63 - 1], got -1"),
+                       ('{"kind":"count","what":"verified_records","value":-1}',
+                        "value must be in [0, 2**63 - 1], got -1"),
+                       ('{"kind":"diff","what":"t0_oracle","ell":0,"missing":[],"extra":[]}',
+                        "ell must be in [1, 2**63 - 1], got 0")):
+        path.write_text(good + "\n" + bad + "\n")
+        assert main(["verify", "--file", str(path)]) == 1, bad
+        assert capsys.readouterr() == ("", f"error: {path}:2: {error}\n"), bad
 
 
 def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
@@ -536,8 +547,8 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         assert run(capsys, "verify", "--file", str(path))[0] == 0, argv
         keys.update((r["kind"], r["what"]) if r["kind"] in ("count", "diff") else r["kind"]
                     for r in records(path.read_text()))
-    # verify's table has a row for each record some producer writes, and no other.
-    assert keys == set(cli._ROWS)
+    # verify has a rebuild for each record some producer writes, and no other.
+    assert keys == set(cli._REBUILDS)
     good = '{"kind":"pair","m":8,"n":3,"k":7}'
     bfile_diff = '{"kind":"diff","what":"bfile","offset":0,"shape":"tetra",'
     oracle_diff = '{"kind":"diff","what":"t0_oracle","ell":2,'
@@ -546,26 +557,26 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         '{"kind":"count","what":["tetrahedra_t0"],"value":3}',
         '{"kind":"diff","what":"no_such_diff","missing":[],"extra":[]}',
         '{"kind":"diff","what":{"x":1},"missing":[],"extra":[]}',
-        oracle_diff + '"missing":"abc","extra":{"x":1}}',
-        oracle_diff + '"missing":[],"extra":{"x":1}}',
-        oracle_diff + '"missing":[[[0,0,0],[1,1,0],[1,0,1]]],"extra":[]}',
         oracle_diff + '"missing":[],"extra":[[1,2,3]]}',
+        oracle_diff + '"missing":[],"extra":7}',
         oracle_diff + '"missing":[]}',
         '{"kind":"diff","what":"t0_oracle","missing":[],"extra":[]}',
         bfile_diff + '"matched":true,"missing":[]}',
         bfile_diff + '"mismatches":[],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[[1,2]],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[1,2,5],"missing":[]}',
+        bfile_diff + '"matched":false,"mismatches":[[3,72,[73]]],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":[[3]]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":3}',
-        bfile_diff.replace('"tetra"', '"cube"') + '"matched":true,"mismatches":[],"missing":[]}',
         bfile_diff.replace('"shape":"tetra",', '') + '"matched":true,"mismatches":[],"missing":[]}',
         bfile_diff.replace('"offset":0,', '') + '"matched":true,"mismatches":[],"missing":[]}',
     )
     disagreeing = (
-        bfile_diff + '"matched":true,"mismatches":[[1,2,5]],"missing":[3]}',
-        bfile_diff + '"matched":true,"mismatches":[],"missing":[3]}',
-        bfile_diff + '"matched":false,"mismatches":[],"missing":[]}',
+        (bfile_diff + '"matched":true,"mismatches":[[1,2,5]],"missing":[3]}', "recorded matched true != false"),
+        (bfile_diff + '"matched":true,"mismatches":[],"missing":[3]}', "recorded matched true != false"),
+        (bfile_diff + '"matched":false,"mismatches":[],"missing":[]}', "recorded matched false != true"),
+        (bfile_diff.replace('"tetra"', '"cube"') + '"matched":true,"mismatches":[],"missing":[]}',
+         "shape must be 'tetra' or 'triangle', got 'cube'"),
     )
     # compare_with_bfile lists only grid sizes in [0, GRID_COUNT_MAX], each once and in order, and a
     # mismatch only where our count, grid_counts(n, shape)[n], differs from the b-file's term.
@@ -585,6 +596,10 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
     cube = "[[0,0,0],[1,1,0],[1,0,1],[0,1,1]]"
     twice = "tetrahedron [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]] is listed twice"
     outside_t0 = (
+        (oracle_diff + '"missing":"abc","extra":{"x":1}}', "a tetrahedron needs exactly 4 vertices, got 1"),
+        (oracle_diff + '"missing":[],"extra":{"x":1}}', "a tetrahedron needs exactly 4 vertices, got 1"),
+        (oracle_diff + '"missing":[[[0,0,0],[1,1,0],[1,0,1]]],"extra":[]}',
+         "a tetrahedron needs exactly 4 vertices, got 3"),
         (oracle_diff + '"missing":[[[0,0,0],[0,0,0],[0,0,0],[0,0,0]]],"extra":[]}', "degenerate"),
         (oracle_diff + '"missing":[],"extra":[[[0,0,0],[2,2,0],[2,0,2],[2,2,2]]]}', "|p0 p3|^2"),
         (oracle_diff + '"missing":[],"extra":[[[1,1,1],[3,3,1],[3,1,3],[1,3,3]]]}', "tetrahedron [[1, 1, 1]"),
@@ -592,8 +607,17 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         ('{"kind":"diff","what":"t0_oracle","ell":1,"missing":[' + cube + '],"extra":[' + cube + "]}", twice),
         ('{"kind":"diff","what":"t0_oracle","ell":1,"missing":[' + cube + "," + cube + '],"extra":[]}', twice),
     )
-    cases = ([(bad, "malformed record") for bad in malformed]
-             + [(bad, "matched is") for bad in disagreeing] + list(unwritten) + list(outside_t0))
+    # The rebuilds write lists and integers of their own, so another JSON type in their place differs.
+    retyped = (
+        (oracle_diff + '"missing":{},"extra":""}', 'recorded extra "" != [], rebuilt from the other fields'),
+        (oracle_diff + '"missing":{},"extra":[]}', "recorded missing {} != [], rebuilt from the other fields"),
+        (bfile_diff + '"matched":true,"mismatches":{},"missing":[]}', "recorded mismatches {} != [], rebuilt"),
+        (bfile_diff + '"matched":true,"mismatches":"","missing":[]}', 'recorded mismatches "" != [], rebuilt'),
+        (bfile_diff + '"matched":true,"mismatches":[],"missing":""}', 'recorded missing "" != [], rebuilt'),
+        (bfile_diff + '"matched":false,"mismatches":[[3,72,"73"]],"missing":[]}',
+         'recorded mismatches [[3,72,"73"]] != [[3,72,73]], rebuilt'),
+    )
+    cases = [(bad, "malformed record") for bad in malformed] + [*disagreeing, *unwritten, *outside_t0, *retyped]
     for bad, reason in cases:
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
@@ -616,7 +640,7 @@ def test_verify_recounts_t0(capsys, tmp_path):
     count = '{"kind":"count","what":"tetrahedra_t0","ell":%d,"value":%d}'
     assert verify_lines(capsys, tmp_path, count % (3, 40), count % (2**63 - 1, 102754744433239509000))[0] == 0
     assert verify_lines(capsys, tmp_path, count % (3, 41)) == (
-        1, "error: <file>:1: recorded value 41 != 40 = |T0(3)|\n")
+        1, "error: <file>:1: recorded value 41 != 40, rebuilt from the other fields\n")
     code, err = verify_lines(capsys, tmp_path, count % (2**63, 8))
     assert code == 1 and err.startswith("error: <file>:1: ell must be in [1, 2**63 - 1]"), err
 
@@ -626,7 +650,7 @@ def test_verify_bounds_a_grid_count_by_the_grid_cap(capsys, tmp_path):
     count = '{"kind":"count","what":"grid_tetrahedra","n":%d,"shape":"tetra","value":51404960}'
     assert verify_lines(capsys, tmp_path, count % 60)[0] == 0
     assert verify_lines(capsys, tmp_path, count % 63) == (
-        1, "error: <file>:1: malformed record (n must be an integer in [0, 60], got 63)\n")
+        1, "error: <file>:1: n must be at most 60, got 63\n")
 
 
 def test_verify_recounts_a_grid_count_with_its_referee(capsys, tmp_path):
@@ -634,9 +658,9 @@ def test_verify_recounts_a_grid_count_with_its_referee(capsys, tmp_path):
     good = [count % ("tetrahedra", 3, "tetra", 72), count % ("triangles", 2, "triangle", 80)]
     assert verify_lines(capsys, tmp_path, *good)[0] == 0
     assert verify_lines(capsys, tmp_path, count % ("tetrahedra", 3, "tetra", 73)) == (
-        1, "error: <file>:1: recorded value 73 != 72, the grid_tetrahedra in {0..3}^3\n")
+        1, "error: <file>:1: recorded value 73 != 72, rebuilt from the other fields\n")
     assert verify_lines(capsys, tmp_path, count % ("triangles", 2, "triangle", 18)) == (
-        1, "error: <file>:1: recorded value 18 != 80, the grid_triangles in {0..2}^3\n")
+        1, "error: <file>:1: recorded value 18 != 80, rebuilt from the other fields\n")
 
 
 def test_verify_walks_grid_counts_once_per_shape_and_n(capsys, tmp_path, monkeypatch):
@@ -656,20 +680,19 @@ def test_verify_walks_grid_counts_once_per_shape_and_n(capsys, tmp_path, monkeyp
     assert walks == [(8, "tetra"), (4, "triangle")]
     walks.clear()
     assert verify_lines(capsys, tmp_path, *[tetra8] * 19, count % ("tetrahedra", 3, "tetra", 73)) == (
-        1, "error: <file>:20: recorded value 73 != 72, the grid_tetrahedra in {0..3}^3\n")
+        1, "error: <file>:20: recorded value 73 != 72, rebuilt from the other fields\n")
     assert verify_lines(capsys, tmp_path, tetra8, diff % 71) == (
         1, "error: <file>:2: mismatch [3, 71, 73] records ours 71 != 72, the grid_tetrahedra in {0..3}^3\n")
     assert verify_lines(capsys, tmp_path, triangle4, triangle4.replace("1264", "1265")) == (
-        1, "error: <file>:2: recorded value 1265 != 1264, the grid_triangles in {0..4}^3\n")
+        1, "error: <file>:2: recorded value 1265 != 1264, rebuilt from the other fields\n")
     assert walks == [(8, "tetra"), (8, "tetra"), (4, "triangle")]
 
 
 def test_verify_bounds_an_oracle_diff_by_the_brute_force_cap(capsys, tmp_path):
-    # oracle-compare rejects ell above BRUTE_T0_MAX = 100.
+    # oracle-compare rejects ell above BRUTE_T0_MAX = 300.
     diff = '{"kind":"diff","what":"t0_oracle","ell":%d,"missing":[],"extra":[]}'
-    assert verify_lines(capsys, tmp_path, diff % 100)[0] == 0
-    assert verify_lines(capsys, tmp_path, diff % 101) == (
-        1, "error: <file>:1: malformed record (ell must be an integer in [1, 100], got 101)\n")
+    assert verify_lines(capsys, tmp_path, diff % 300)[0] == 0
+    assert verify_lines(capsys, tmp_path, diff % 301) == (1, "error: <file>:1: ell must be at most 300, got 301\n")
 
 
 def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):
@@ -683,13 +706,16 @@ def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):
             tri + ',"provenance":{' + plane + "}}", tri + "}",
             normals + ',"provenance":{' + plane + ',"sign":1}}', normals + "}")
     assert verify_lines(capsys, tmp_path, *good)[0] == 0
+    # An enumerate-t0 provenance is rebuilt from the vertices, and a triangles or complete one rebuilds the record.
+    for bad, error in ((tet + ',"provenance":{"ell":5,"bogus":[1]}}', 'recorded provenance {"bogus":[1],"ell":5} '),
+                       (tet + ',"provenance":{"ell":0}}', 'recorded provenance {"ell":0} != {"ell":1}, '),
+                       (tet + ',"provenance":{' + plane + "}}", "the provenance "),
+                       (tet + ',"provenance":{' + plane + ',"sign":0}}', "the provenance "),
+                       (tri + ',"provenance":{' + plane + ',"sign":1}}', "the provenance ")):
+        code, err = verify_lines(capsys, tmp_path, good[0], bad)
+        assert code == 1 and err.startswith(f"error: <file>:2: {error}"), (bad, err)
     malformed = (
-        tet + ',"provenance":{"ell":5,"bogus":[1]}}',
-        tet + ',"provenance":{"ell":0}}',
-        tet + ',"provenance":{' + plane + "}}",
-        tet + ',"provenance":{' + plane + ',"sign":0}}',
         tet + ',"provenance":null}',
-        tri + ',"provenance":{' + plane + ',"sign":1}}',
         tri + ',"provenance":{"quad":[1,1,1],"r":0,"s":-2,"m":1,"n":0}}',
         normals + ',"provenance":{"ell":1}}',
         '{"kind":"quadruple","a":1,"b":1,"c":1,"d":1,"q":2,"provenance":{}}',
@@ -703,11 +729,14 @@ def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):
     # enumerate-t0 records its own ell as the provenance, and writes only sorted
     # vertices with one at the origin: not a translate, nor the members out of order.
     assert verify_lines(capsys, tmp_path, tet + ',"provenance":{"ell":5}}') == (
-        1, "error: <file>:1: provenance ell 5 is not the recorded ell 1\n")
-    for vertices in ("[[5,5,5],[5,6,6],[6,5,6],[6,6,5]]", "[[0,0,0],[0,-1,1],[1,-1,0],[1,0,1]]"):
-        bad = '{"kind":"tetrahedron","vertices":%s,"side_sq":2,"ell":1,"provenance":{"ell":1}}' % vertices
-        assert verify_lines(capsys, tmp_path, bad) == (
-            1, f"error: <file>:1: vertices {json.loads(vertices)} are not a sorted member of T0(1)\n")
+        1, 'error: <file>:1: recorded provenance {"ell":5} != {"ell":1}, rebuilt from the other fields\n')
+    bad = '{"kind":"tetrahedron","vertices":%s,"side_sq":2,"ell":1,"provenance":{"ell":1}}'
+    translate, unsorted = "[[5,5,5],[5,6,6],[6,5,6],[6,6,5]]", "[[0,0,0],[0,-1,1],[1,-1,0],[1,0,1]]"
+    rebuilt = "rebuilt from the other fields"
+    assert verify_lines(capsys, tmp_path, bad % translate) == (
+        1, f"error: <file>:1: vertices {json.loads(translate)} are not a member of T0(1)\n")
+    assert verify_lines(capsys, tmp_path, bad % unsorted) == (
+        1, f"error: <file>:1: recorded vertices {unsorted} != [[0,-1,1],[0,0,0],[1,-1,0],[1,0,1]], {rebuilt}\n")
 
 
 def test_verify_rebuilds_a_plane_provenance(capsys, tmp_path):
@@ -784,16 +813,18 @@ def test_verify_checks_triple_generators(capsys, tmp_path):
     # triples --kmax 7 emits (8, 3, 7) from (u, v) = (2, 3) by form 2.
     path = tmp_path / "triples.jsonl"
     good = '{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":2}'
-    for bad, why in (('{"kind":"triple","m":8,"n":3,"k":7,"u":3,"v":3,"form":2}', "is not form 2"),
-                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":9}', "form must be 1 or 2"),
-                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":1}', "is not form 1"),
+    # Form 2 of (3, 3) is (9, 9, 9), and form 1 of (2, 3) is (5, 8, 7).
+    rebuilt = "rebuilt from the other fields"
+    for bad, why in (('{"kind":"triple","m":8,"n":3,"k":7,"u":3,"v":3,"form":2}', f"recorded k 7 != 9, {rebuilt}"),
+                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":9}', "triple form must be 1 or 2, got 9"),
+                     ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3,"form":1}', f"recorded m 8 != 5, {rebuilt}"),
                      ('{"kind":"triple","m":8,"n":3,"k":7,"u":2,"v":3}', "malformed record ('form')"),
                      ('{"kind":"triple","m":8,"n":3,"k":7}', "malformed record ('u')")):
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{path}:2: " in captured.err and why in captured.err, (bad, captured.err)
+        assert captured.err.startswith(f"error: {path}:2: ") and why in captured.err, (bad, captured.err)
     # Form 1 of (u, v) = (2, 3) is (5, 8), and u == v is accepted.
     path.write_text(good + "\n"
                     + '{"kind":"triple","m":5,"n":8,"k":7,"u":2,"v":3,"form":1}\n'
@@ -816,7 +847,6 @@ def test_verify_rejects_non_integer_fields(capsys, tmp_path):
                 '{"kind":"pair","m":8,"n":3,"k":7.0}',
                 '{"kind":"triple","m":8,"n":3,"k":7,"u":1,"v":3,"form":1.0}',
                 '{"kind":"tetrahedron","vertices":[[0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2}',
-                '{"kind":"tetrahedron","vertices":[[0,0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2,"ell":-1}',
                 '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2,"provenance":{"m":1.5}}',
                 '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2,"provenance":{"m":Infinity}}',
                 '{"kind":"pair","m":8,"n":3,"k":7,"x":-Infinity}',
@@ -828,6 +858,10 @@ def test_verify_rejects_non_integer_fields(capsys, tmp_path):
         assert f"{path}:2:" in captured.err, bad
         with pytest.raises(DomainError, match="malformed record"):
             cmd_verify(argparse.Namespace(file=str(path)))
+    # An integer field out of its range is no malformed record: it fails the comparison with its rebuild.
+    path.write_text('{"kind":"tetrahedron","vertices":[[0,0,0],[1,1,0],[1,0,1],[0,1,1]],"side_sq":2,"ell":-1}\n')
+    with pytest.raises(VerificationError, match=re.escape(f"{path}:1: recorded ell -1 != 1, rebuilt from the other")):
+        cmd_verify(argparse.Namespace(file=str(path)))
     # The same records with integer fields verify, and so do pairs with m = 0.
     path.write_text(good + "\n"
                     + '{"kind":"normal-set","faces":[[1,1,1,1],' + normals + "}\n"
@@ -837,6 +871,19 @@ def test_verify_rejects_non_integer_fields(capsys, tmp_path):
     code, out = run(capsys, "verify", "--file", str(path))
     assert code == 0
     assert records(out) == [{"kind": "count", "what": "verified_records", "value": 4}]
+
+
+def test_verify_accepts_the_benchmark_verify_files(capsys, tmp_path, monkeypatch):
+    # Files as the benchmark's verify workload writes them: valid objects, not a producer's
+    # lines (unsorted keys, translated and unsorted vertices, normal sets in any face order).
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = workloads.pass_rng("verify", 7, 0)
+    for i in range(2):
+        path = tmp_path / f"verify-{i}.jsonl"
+        count = workloads.write_verify_file(rng, path, workloads.VERIFY_GROUPS // 2)
+        assert main(["verify", "--file", str(path)]) == 0, path
+        assert capsys.readouterr() == ('{"kind":"count","value":%d,"what":"verified_records"}\n' % count, "")
 
 
 def test_verify_reads_stdin():

@@ -220,10 +220,10 @@ def test_brute_t0_bound_validation():
 
 
 def test_brute_t0_rejects_ell_above_its_cap_at_once():
-    assert BRUTE_T0_MAX == 100
+    assert BRUTE_T0_MAX == 300
     start = time.perf_counter()
     for ell in (BRUTE_T0_MAX + 1, 1024, 2**63 - 1):
-        with pytest.raises(RangeError, match="at most 100"):
+        with pytest.raises(RangeError, match="at most 300"):
             brute_t0(ell)
     assert time.perf_counter() - start < 1
 

@@ -6,7 +6,8 @@ numeric field of one record, its provenance included, by +1 or -1.
 verify must reject the changed stream exactly when the predicate below,
 which shares no code with the package, calls the changed record invalid.
 Some changes keep a record valid (the pair (0, 1, 1) becomes (1, 1, 1));
-those must still verify.
+those must still verify.  Replacing an integer by true or by its string
+form, or a list by {} or "", never does, in diff records too.
 """
 
 import copy
@@ -18,11 +19,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztetra import omega, solve_three_d2
+from ztetra import cli, omega, solve_three_d2
 from ztetra.cli import main
 
 
@@ -221,3 +223,54 @@ def test_every_producer_round_trips_and_mutants_match_the_predicate(argv, data):
         assert verified == ""
         assert err.startswith(f"error: {path}:{index + 1}: "), err
 
+
+# Diff records with nonempty lists: grid-count against a b-file of arbitrary
+# terms, None where the file leaves an index out, and oracle-compare with each
+# side missing a different member of T0(ell).
+BFILE_DIFFS = st.tuples(st.integers(0, 5), st.sampled_from(("tetra", "triangle"))).flatmap(
+    lambda t: st.lists(st.none() | st.integers(0, 200), min_size=t[0] + 2, max_size=t[0] + 2)
+    .map(lambda terms: (["grid-count", "--n", str(t[0]), "--shape", t[1]], terms)))
+ORACLE_DIFFS = st.integers(1, 6).map(lambda ell: (["oracle-compare", "--ell", str(ell)], None))
+
+
+def retype(data, value):
+    """Replace one integer in value by true or by its string form, or one
+    list by {} or "", drawn level by level, so that a top-level field comes
+    up as often as a nested one."""
+    keys = [k for k in (range(len(value)) if type(value) is list else sorted(value))
+            if type(value[k]) in (int, list, dict)]
+    key = data.draw(st.sampled_from(keys))
+    inner = value[key]
+    if type(inner) is dict or type(inner) is list and inner and data.draw(st.booleans(), label="deeper"):
+        return retype(data, inner)
+    value[key] = data.draw(st.sampled_from((True, str(inner)) if type(inner) is int else ({}, "")))
+
+
+def produce(argv, terms, tmp):
+    """The stdout of argv, a producer or one of the diff sources above."""
+    if argv[0] == "grid-count":
+        bfile = Path(tmp) / "b.txt"
+        bfile.write_text("".join(f"{i} {t}\n" for i, t in enumerate(terms) if t is not None))
+        argv = [*argv, "--bfile", str(bfile)]
+    full, brute = cli.enumerate_t0, cli.brute_t0
+    with mock.patch.object(cli, "enumerate_t0", lambda ell: full(ell)[1:]), \
+            mock.patch.object(cli, "brute_t0", lambda ell: brute(ell)[:-1]):
+        code, out, _ = run_cli(*argv)
+    assert code == (argv[0] == "oracle-compare"), argv
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(PRODUCERS.map(lambda argv: (argv, None)), BFILE_DIFFS, ORACLE_DIFFS), st.data())
+def test_a_value_of_another_json_type_is_rejected(source, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = produce(*source, tmp).splitlines()
+        index = data.draw(st.integers(0, len(lines) - 1), label="record")
+        mutant = json.loads(lines[index])
+        retype(data, mutant)
+        lines[index] = json.dumps(mutant, sort_keys=True, separators=(",", ":"))
+        path = Path(tmp) / "records.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, verified, err = run_cli("verify", "--file", str(path))
+    assert (code, verified) == (1, ""), (source, mutant)
+    assert err.startswith(f"error: {path}:{index + 1}: "), err

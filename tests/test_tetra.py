@@ -4,7 +4,7 @@ import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from operator import attrgetter
 
 import pytest
@@ -438,6 +438,35 @@ def test_worked_example_face_normals():
     for face in fns.faces:
         assert cross(face.normal, directions[face.d]) == (0, 0, 0)
     assert verify_orthogonality(fns)
+
+
+def cross_product_normals(tet):
+    """face_normals the way it was first built: per face, the primitive cross
+    product of two edges, flipped to point away from the opposite vertex."""
+    faces = []
+    for i, top in enumerate(tet.vertices):
+        w1, w2, w3 = (v for j, v in enumerate(tet.vertices) if j != i)
+        nrm = cross(sub(w2, w1), sub(w3, w1))
+        sign = 1 if dot(nrm, sub(w1, top)) > 0 else -1
+        nrm = tuple(sign * x // gcd(*nrm) for x in nrm)
+        faces.append((*nrm, isqrt(dot(nrm, nrm) // 3)))
+    return faces
+
+
+def test_face_normals_from_the_centroid_match_the_cross_products_on_t0():
+    for ell in range(1, 31):
+        for tet in enumerate_t0(ell):
+            assert list(map(tuple, face_normals(tet).faces)) == cross_product_normals(tet), tet
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda ell: st.sampled_from(enumerate_t0(ell))),
+       st.sampled_from(list(signed_permutations())), st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+def test_face_normals_match_the_cross_products_under_lattice_isometries(tet, symmetry, shift):
+    perm, signs = symmetry
+    moved = LatticeTetrahedron.from_vertices(
+        [[signs[i] * v[perm[i]] + shift[i] for i in range(3)] for v in tet.vertices])
+    assert list(map(tuple, face_normals(moved).faces)) == cross_product_normals(moved)
 
 
 def test_verify_orthogonality_detects_a_flipped_normal():
