@@ -217,7 +217,7 @@ def _pair(rec: dict, recount) -> dict:
 
 def _normal_set(rec: dict, recount) -> dict:
     faces = rec["faces"]
-    if len(faces) != 4 or not verify_orthogonality(FaceNormalSet(tuple(NormalQuadruple(*f) for f in faces))):
+    if not verify_orthogonality(FaceNormalSet(tuple(NormalQuadruple(*f) for f in faces))):
         raise VerificationError("face normals fail the orthogonality identities")
     return {"kind": "normal-set", "faces": [list(f) for f in faces]}
 

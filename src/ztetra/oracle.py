@@ -6,24 +6,19 @@ confirmed by the verify functions, so these scans are a fair referee
 for enumerate_t0 and grid_counts: the grid scans referee grid counts
 and no longer produce them.  One clique search serves every scan, on
 the equal-distance graphs of only the squared distances its caller
-reads: all of them for triangles, 2*k*k for tetrahedra, 2*ell*ell on
-the sphere of brute_t0.  The scans of arbitrary points build them by
-pairing a point only with points whose coordinate sum has the same
-parity: a triangle's squared side s is 2P.Q for its edges P and Q from
-one vertex, so it is even, and |P|^2 has the parity of Px + Py + Pz.
-brute_t0 and brute_tetrahedra_grid know their points and squared sides,
-and translate instead: Q is at squared distance s from P exactly when
-Q - P is a lattice vector of squared length s, and with W = 4m + 1 for
-m the largest |coordinate| of the points and vectors, (x*W + y)*W + z
-encodes every P + v one-to-one and in order.  Guards keep the scans at
-desk scale unless explicitly overridden.
+reads, built by pairing points of one coordinate-sum parity
+(_pair_graphs) or, where the squared sides are known, by translation
+(_translation_graph).  The grid referees search cliques only through
+the origin and place each at every translate that stays in the cube,
+so each shape is found once, from its least vertex (_grid_scan).
+Guards keep the scans at desk scale unless explicitly overridden.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import chain, combinations, repeat
+from collections.abc import Iterable, Iterator
+from itertools import chain, combinations, product, repeat
 from math import isqrt
 from operator import add
 from pathlib import Path
@@ -71,10 +66,10 @@ def _pair_graphs(points: list[Point], keep) -> list[dict[int, set[int]]]:
     return list(filter(None, graphs.values()))
 
 
-def _translation_graphs(points: list[Point], lengths: list[list[Point]]) -> list[dict[int, set[int]]]:
-    """The equal-distance graphs on the sorted points, stored as
-    _pair_graphs stores them, one per list of all the vectors of one
-    squared length s that can join two of the points.
+def _translation_graph(points: list[Point], vectors: list[Point]) -> dict[int, set[int]]:
+    """The equal-distance graph on the sorted points for one squared
+    length s, stored as _pair_graphs stores its graphs, given all the
+    vectors of squared length s that can join two of the points.
 
     Q is at squared distance s from P exactly when Q - P is a vector of
     squared length s, so the later neighbours of P are the points among
@@ -84,18 +79,15 @@ def _translation_graphs(points: list[Point], lengths: list[list[Point]]) -> list
     order-preserving on triples with coordinates within +-2m, which holds
     every P + v, so one set intersection finds the neighbours of a point.
     """
-    w = 4 * max(map(abs, chain.from_iterable(chain(points, *lengths))), default=0) + 1
+    w = 4 * max(map(abs, chain.from_iterable(chain(points, vectors))), default=0) + 1
     index = {(x * w + y) * w + z: i for i, (x, y, z) in enumerate(points)}
     codes = set(index)
-    graphs = []
-    for vectors in lengths:
-        ahead = [c for c in ((x * w + y) * w + z for x, y, z in vectors) if c > 0]
-        graph = {}
-        for e, i in index.items():
-            if hits := codes.intersection(map(add, repeat(e), ahead)):
-                graph[i] = set(map(index.__getitem__, hits))
-        graphs.append(graph)
-    return graphs
+    ahead = [c for c in ((x * w + y) * w + z for x, y, z in vectors) if c > 0]
+    graph = {}
+    for e, i in index.items():
+        if hits := codes.intersection(map(add, repeat(e), ahead)):
+            graph[i] = set(map(index.__getitem__, hits))
+    return graph
 
 
 def _cliques(graphs: list[dict[int, set[int]]], size: int) -> Iterator[tuple[int, ...]]:
@@ -120,12 +112,16 @@ def _is_twice_square(s2: int) -> bool:
     return root * root == half
 
 
+def _verify_triangle(a: Point, b: Point, c: Point) -> int:
+    return verify_equilateral(sub(b, a), sub(c, a))
+
+
 def _scan(points, size: int, graphs, verify) -> list:
-    """The size-cliques of the graphs that graphs (_pair_graphs or
-    _translation_graphs) builds on the sorted distinct points, as point
-    tuples, each confirmed by verify, sorted.  A point that is not a tuple
-    or list of three ints (a bool is not one) raises DomainError naming
-    the first such point, before any pairing."""
+    """The size-cliques of the graphs that graphs (_pair_graphs, or
+    _translation_graph in a list) builds on the sorted distinct points,
+    as point tuples, each confirmed by verify, sorted.  A point that is
+    not a tuple or list of three ints (a bool is not one) raises
+    DomainError naming the first such point, before any pairing."""
     pts = list(points)
     for p in pts:
         if type(p) not in (tuple, list) or len(p) != 3 or any(type(c) is not int for c in p):
@@ -145,8 +141,7 @@ def scan_triangles(points) -> list[Triangle]:
     origin.  Output is sorted; a point that is not three ints raises
     DomainError.
     """
-    return _scan(points, 3, lambda pts: _pair_graphs(pts, None),
-                 lambda a, b, c: verify_equilateral(sub(b, a), sub(c, a)))
+    return _scan(points, 3, lambda pts: _pair_graphs(pts, None), _verify_triangle)
 
 
 def scan_tetrahedra(points) -> list[Tetrahedron]:
@@ -174,26 +169,59 @@ def _grid_points(n: int) -> list[Point]:
     return [(x, y, z) for x in range(n + 1) for y in range(n + 1) for z in range(n + 1)]
 
 
+def _grid_scan(n: int, size: int, lengths: Iterable[int], verify) -> list:
+    """The shapes of size vertices and a squared side in lengths in the
+    cube {0..n}^3, each confirmed by verify, sorted.
+
+    A shape's least vertex P, subtracted from its vertices, leaves the
+    origin and vectors of _sphere(s) that sort after it and lie in
+    {-n..n}^3: a clique through the origin of their translation graph.
+    The shape is in the cube exactly when P is in the box [-min, n - max]
+    of the clique on each axis, so placing each such clique at every P of
+    its box finds every shape once.  Vertices are the shared tuples of
+    _grid_points(n), at flat index (x*(n+1) + y)*(n+1) + z.
+    """
+    pts = _grid_points(n)
+    w = n + 1
+    shapes = []
+    for s in lengths:
+        vectors = [v for v in _sphere(s) if max(map(abs, v)) <= n]
+        ahead = [ORIGIN] + [v for v in vectors if v > ORIGIN]
+        for clique in _cliques([_translation_graph(ahead, vectors)], size):
+            if clique[0]:  # not through the origin, index 0
+                continue
+            shape = [ahead[i] for i in clique]
+            box = [range(-min(axis), n - max(axis) + 1) for axis in zip(*shape)]
+            bases = [(x * w + y) * w + z for x, y, z in product(*box)]
+            columns = ([pts[b + (x * w + y) * w + z] for b in bases] for x, y, z in shape)
+            shapes.extend(zip(*columns))
+    shapes.sort()
+    for shape in shapes:
+        verify(*shape)
+    return shapes
+
+
 def brute_triangles_grid(n: int, *, force: bool = False) -> list[Triangle]:
     """Equilateral triangles with vertices in the cube {0..n}^3.
 
     Counts distinct vertex sets; the n = 1 cube has 8 (the faces of the
-    two inscribed tetrahedra).
+    two inscribed tetrahedra).  Each triangle is placed from the origin
+    (_grid_scan) for every even squared side s <= 3*n*n: no triangle has
+    an odd one (_pair_graphs).
     """
     _check_grid_size(n, force)
-    return scan_triangles(_grid_points(n))
+    return _grid_scan(n, 3, range(2, 3 * n * n + 1, 2), _verify_triangle)
 
 
 def brute_tetrahedra_grid(n: int, *, force: bool = False) -> list[Tetrahedron]:
     """Regular tetrahedra with vertices in the cube {0..n}^3.
 
     The n = 1 cube contains exactly the 2 inscribed regular tetrahedra.
-    Neighbours are found by translation along the vectors in {-n..n}^3 of
-    each squared length 2*k*k <= 3*n*n, the only sides (scan_tetrahedra).
+    Each tetrahedron is placed from the origin (_grid_scan) for every
+    squared side 2*k*k <= 3*n*n, the only sides (scan_tetrahedra).
     """
     _check_grid_size(n, force)
-    lengths = [[v for v in _sphere(2 * k * k) if max(map(abs, v)) <= n] for k in range(1, isqrt(3 * n * n // 2) + 1)]
-    return _scan(_grid_points(n), 4, lambda pts: _translation_graphs(pts, lengths), verify_regular)
+    return _grid_scan(n, 4, [2 * k * k for k in range(1, isqrt(3 * n * n // 2) + 1)], verify_regular)
 
 
 def _sphere(r2: int) -> list[Point]:
@@ -226,7 +254,7 @@ def brute_t0(ell: int) -> list[LatticeTetrahedron]:
     check_range("ell", ell, 1, BRUTE_T0_MAX)
     sphere = _sphere(2 * ell * ell)
     return [LatticeTetrahedron.from_vertices(tet)
-            for tet in _scan(sphere + [ORIGIN], 4, lambda pts: _translation_graphs(pts, [sphere]), verify_regular)]
+            for tet in _scan(sphere + [ORIGIN], 4, lambda pts: [_translation_graph(pts, sphere)], verify_regular)]
 
 
 class ComparisonReport(namedtuple("ComparisonReport", "missing extra")):

@@ -292,8 +292,11 @@ def verify_orthogonality(fns: FaceNormalSet) -> bool:
     if i == j else 0 (off the diagonal this is the pairwise identity
     a_i*a_j + b_i*b_j + c_i*c_j + d_i*d_j == 0).  Only rows are checked:
     M is real and square (d_i >= 1), so M*M^T == I implies M^T*M == I.
+    A set of other than four faces raises DomainError.
     """
     rows = fns.faces  # each face is the tuple (a, b, c, d)
+    if len(rows) != 4:
+        raise DomainError(f"a face normal set needs exactly 4 faces, got {len(rows)}")
     for i, vi in enumerate(rows):
         for j in range(i, 4):
             vj = rows[j]

@@ -148,8 +148,11 @@ def verify_equilateral(p: Point, q: Point) -> int:
     """Squared side of the equilateral triangle (origin, p, q).
 
     Raises VerificationError naming the first failing equality when the
-    three squared distances differ, or when any of them vanishes.
+    three squared distances differ, or when any of them vanishes, and
+    DomainError when p or q does not have three coordinates.
     """
+    if len(p) != 3 or len(q) != 3:
+        raise DomainError(f"a triangle needs points of 3 coordinates, got {p!r} and {q!r}")
     op = dist_sq(ORIGIN, p)
     oq = dist_sq(ORIGIN, q)
     pq = dist_sq(p, q)

@@ -426,6 +426,8 @@ def test_verify_skips_blank_lines_and_rejects_what_no_producer_writes(capsys, tm
     faces = "[[1,1,1,1],[-1,-1,1,1],[-1,1,-1,1],[1,-1,1,1]]"
     for bad, error in (
             (f'{{"kind":"normal-set","faces":{faces}}}', "face normals fail the orthogonality identities"),
+            ('{"kind":"normal-set","faces":[[1,1,1,1],[1,-1,-1,1],[-1,1,-1,1]]}',
+             "a face normal set needs exactly 4 faces, got 3"),
             ("[1,2]", "record is not an object"),
             ('{"kind":"diff","what":"bfile","shape":"tetra","offset":0,"matched":1,"mismatches":[],"missing":[]}',
              "matched must be a boolean")):

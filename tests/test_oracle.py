@@ -126,6 +126,12 @@ def test_grid_translation_matches_the_pair_scan():
         assert brute_tetrahedra_grid(n, force=True) == scan_tetrahedra(_grid_points(n)), n
 
 
+def test_grid_placement_matches_the_triangle_pair_scan():
+    # brute_triangles_grid places each triangle from the origin, scan_triangles pairs points.
+    for n in range(GRID_GUARD + 1):
+        assert brute_triangles_grid(n, force=True) == scan_triangles(_grid_points(n)), n
+
+
 def test_brute_t0_matches_the_pair_scan_of_its_sphere():
     for ell in range(1, 21):
         tets = scan_tetrahedra(_sphere(2 * ell * ell) + [ORIGIN])

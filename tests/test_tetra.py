@@ -358,8 +358,8 @@ def test_enumerate_t0_rejects_bad_ell():
         enumerate_t0(0)
 
 
-@pytest.mark.parametrize("shape, scan, n", [("tetra", brute_tetrahedra_grid, 12),
-                                            ("triangle", brute_triangles_grid, 8)])
+@pytest.mark.parametrize("shape, scan, n", [("tetra", brute_tetrahedra_grid, 16),
+                                            ("triangle", brute_triangles_grid, 10)])
 def test_grid_counts_match_the_referee_scan(shape, scan, n):
     # The scan's shapes in {0..i}^3 are those whose largest coordinate is at most i.
     tops = Counter(max(map(max, found)) for found in scan(n, force=True))
@@ -476,6 +476,15 @@ def test_verify_orthogonality_detects_a_flipped_normal():
     bad = faces[0]
     faces[0] = NormalQuadruple(-bad.a, -bad.b, -bad.c, bad.d)
     assert not verify_orthogonality(FaceNormalSet(tuple(faces)))
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_verify_orthogonality_needs_exactly_four_faces(count):
+    # The fifth face repeats (1, 1, 1, 1), which a check of the first four rows alone would pass.
+    faces = face_normals(LatticeTetrahedron.from_vertices(((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)))).faces
+    faces = (faces + (NormalQuadruple(1, 1, 1, 1),))[:count]
+    with pytest.raises(DomainError, match=f"^a face normal set needs exactly 4 faces, got {count}$"):
+        verify_orthogonality(FaceNormalSet(faces))
 
 
 def referee_orthogonality(fns):

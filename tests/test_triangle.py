@@ -183,6 +183,13 @@ def test_verify_equilateral():
         verify_equilateral((2, 0, 0), (1, 1, 0))
 
 
+@pytest.mark.parametrize("p, q", [((1, 1, 0, 5), (1, 0, 1, -7)), ((1, 1, 0), (1, 0, 1, 0)), ((1, 1), (1, 0, 1))])
+def test_verify_equilateral_rejects_points_not_of_three_coordinates(p, q):
+    # (1, 1, 0, 5), (1, 0, 1, -7) would pass on their first three coordinates alone.
+    with pytest.raises(DomainError, match="a triangle needs points of 3 coordinates"):
+        verify_equilateral(p, q)
+
+
 def decompose(v, e1, e2):
     """Integer (m, n) with v == m*e1 + n*e2, or None.
 
