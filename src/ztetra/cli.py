@@ -190,9 +190,9 @@ def _recount(walked: dict[str, list[int]], n: int, shape: str) -> list[int]:
 # recount is _recount for the run.
 
 def _tetrahedron(rec: dict, recount) -> dict:
-    tet = LatticeTetrahedron.from_vertices(rec["vertices"])
-    built = {"kind": "tetrahedron", "vertices": [list(p) for p in rec["vertices"]], "side_sq": tet.side_sq,
-             "ell": tet.ell}
+    vertices = [[x, y, z] for x, y, z in rec["vertices"]]  # other than 3 coordinates: malformed, as in _triangle
+    tet = LatticeTetrahedron.from_vertices(vertices)
+    built = {"kind": "tetrahedron", "vertices": vertices, "side_sq": tet.side_sq, "ell": tet.ell}
     if "ell" in rec.get("provenance", ()):  # enumerate-t0 writes T0(ell), vertices sorted
         if ORIGIN not in tet.vertices:
             raise VerificationError(f"vertices {rec['vertices']} are not a member of T0({tet.ell})")

@@ -3,15 +3,13 @@
 Nothing here knows about the coefficient machinery: candidates come
 from raw distance bookkeeping over explicit point sets and every hit is
 confirmed by the verify functions, so these scans are a fair referee
-for enumerate_t0 and grid_counts: the grid scans referee grid counts
-and no longer produce them.  One clique search serves every scan, on
-the equal-distance graphs of only the squared distances its caller
-reads, built by pairing points of one coordinate-sum parity
-(_pair_graphs) or, where the squared sides are known, by translation
-(_translation_graph).  The grid referees search cliques only through
-the origin and place each at every translate that stays in the cube,
-so each shape is found once, from its least vertex (_grid_scan).
-Guards keep the scans at desk scale unless explicitly overridden.
+for enumerate_t0 and grid_counts.  One clique search serves every scan:
+on a given point set, over pairs of one coordinate-sum parity at the
+squared distances read (_pair_graphs); for the sphere referees, brute_t0
+and the grid scans, over the shapes whose least vertex is the origin,
+found by translation among the vectors of one length (_origin_shapes)
+and moved to every place they belong, so each is found once.  Guards
+keep the scans at desk scale unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from .tetra import LatticeTetrahedron, verify_regular
 from .triangle import ORIGIN, Point, dist_sq, sub, verify_equilateral
 
 GRID_GUARD = 6
-# brute_t0 finds its sphere in about ell^2 steps, then translates each point
-# along the sphere: oracle-compare takes 1.2-1.4 s at ell = 245, 285 and 295,
-# the slowest ell up to 300 (2-vCPU VM).
+# oracle-compare takes 0.6-0.7 s at ell = 245, 285 and 295, among the slowest to 300 (2-vCPU VM).
 BRUTE_T0_MAX = 300
 
 Triangle = tuple[Point, Point, Point]
@@ -66,42 +62,56 @@ def _pair_graphs(points: list[Point], keep) -> list[dict[int, set[int]]]:
     return list(filter(None, graphs.values()))
 
 
-def _translation_graph(points: list[Point], vectors: list[Point]) -> dict[int, set[int]]:
-    """The equal-distance graph on the sorted points for one squared
-    length s, stored as _pair_graphs stores its graphs, given all the
-    vectors of squared length s that can join two of the points.
-
-    Q is at squared distance s from P exactly when Q - P is a vector of
-    squared length s, so the later neighbours of P are the points among
-    P + v for the vectors v that sort after the origin.  Each point and
-    vector is encoded as (x*W + y)*W + z with W = 4m + 1, m the largest
-    |coordinate| among them: the map is linear, and one-to-one and
-    order-preserving on triples with coordinates within +-2m, which holds
-    every P + v, so one set intersection finds the neighbours of a point.
+def _translation_graph(vectors: list[Point]) -> dict[int, set[int]]:
+    """The graph joining each of the sorted vectors P to each later Q
+    with Q - P among them, stored as _pair_graphs stores its graphs.
+    Each vector is encoded as (x*W + y)*W + z, W = 4m + 1 with m the
+    largest |coordinate|: linear, and one-to-one and order-preserving
+    within +-2m, which holds every sum P + v of two, so the Q of P are
+    one set intersection of the codes with code(P) + the codes.
     """
-    w = 4 * max(map(abs, chain.from_iterable(chain(points, vectors))), default=0) + 1
-    index = {(x * w + y) * w + z: i for i, (x, y, z) in enumerate(points)}
+    w = 4 * max(map(abs, chain.from_iterable(vectors)), default=0) + 1
+    index = {(x * w + y) * w + z: i for i, (x, y, z) in enumerate(vectors)}
     codes = set(index)
-    ahead = [c for c in ((x * w + y) * w + z for x, y, z in vectors) if c > 0]
     graph = {}
     for e, i in index.items():
-        if hits := codes.intersection(map(add, repeat(e), ahead)):
+        if hits := codes.intersection(map(add, repeat(e), codes)):
             graph[i] = set(map(index.__getitem__, hits))
     return graph
 
 
 def _cliques(graphs: list[dict[int, set[int]]], size: int) -> Iterator[tuple[int, ...]]:
-    """Yield each 3-clique (size 3) or 4-clique (size 4) of each graph of
+    """Yield each 2-, 3- or 4-clique (size 2, 3 or 4) of each graph of
     later neighbours once, as increasing indices."""
     for graph in graphs:
         for i, after_i in graph.items():
             for j in after_i:
+                if size == 2:
+                    yield i, j
+                    continue
                 common = after_i.intersection(graph.get(j, ()))
                 for t in common:
                     if size == 3:
                         yield i, j, t
                     else:
                         yield from ((i, j, t, u) for u in common.intersection(graph.get(t, ())))
+
+
+def _origin_shapes(s: int, size: int, reach: int | None = None) -> Iterator[tuple[Point, ...]]:
+    """The shapes of size (3 or 4) pairwise equidistant points at squared
+    side s with least vertex the origin, in no set order, each as
+    (ORIGIN, *others) sorted; with reach, only those spanning at most
+    reach on every axis, whose vertices and differences all lie in
+    {-reach..reach}^3.  The others are vectors v > ORIGIN of _sphere(s)
+    whose differences, later minus earlier, are such vectors too: the
+    (size - 1)-cliques of their _translation_graph.  Translation keeps
+    lexicographic order, so a shape T with a vertex at the origin is
+    O - c for exactly one origin shape O and vertex c of O: c = -min(T)
+    and O = T + c.
+    """
+    vectors = [v for v in _sphere(s) if v > ORIGIN and (reach is None or max(map(abs, v)) <= reach)]
+    for clique in _cliques([_translation_graph(vectors)], size - 1):
+        yield ORIGIN, *map(vectors.__getitem__, clique)
 
 
 def _is_twice_square(s2: int) -> bool:
@@ -116,18 +126,17 @@ def _verify_triangle(a: Point, b: Point, c: Point) -> int:
     return verify_equilateral(sub(b, a), sub(c, a))
 
 
-def _scan(points, size: int, graphs, verify) -> list:
-    """The size-cliques of the graphs that graphs (_pair_graphs, or
-    _translation_graph in a list) builds on the sorted distinct points,
-    as point tuples, each confirmed by verify, sorted.  A point that is
-    not a tuple or list of three ints (a bool is not one) raises
+def _scan(points, size: int, keep, verify) -> list:
+    """The size-cliques of _pair_graphs(keep) on the sorted distinct
+    points, as point tuples, each confirmed by verify, sorted.  A point
+    that is not a tuple or list of three ints (a bool is not one) raises
     DomainError naming the first such point, before any pairing."""
     pts = list(points)
     for p in pts:
         if type(p) not in (tuple, list) or len(p) != 3 or any(type(c) is not int for c in p):
             raise DomainError(f"point {p!r} is not three integers")
     pts = sorted({tuple(p) for p in pts})
-    shapes = sorted(tuple(map(pts.__getitem__, clique)) for clique in _cliques(graphs(pts), size))
+    shapes = sorted(tuple(map(pts.__getitem__, clique)) for clique in _cliques(_pair_graphs(pts, keep), size))
     for shape in shapes:
         verify(*shape)
     return shapes
@@ -141,7 +150,7 @@ def scan_triangles(points) -> list[Triangle]:
     origin.  Output is sorted; a point that is not three ints raises
     DomainError.
     """
-    return _scan(points, 3, lambda pts: _pair_graphs(pts, None), _verify_triangle)
+    return _scan(points, 3, None, _verify_triangle)
 
 
 def scan_tetrahedra(points) -> list[Tetrahedron]:
@@ -154,7 +163,7 @@ def scan_tetrahedra(points) -> list[Tetrahedron]:
     confirmed with verify_regular.  Output is sorted; a point that is
     not three ints raises DomainError.
     """
-    return _scan(points, 4, lambda pts: _pair_graphs(pts, _is_twice_square), verify_regular)
+    return _scan(points, 4, _is_twice_square, verify_regular)
 
 
 def _check_grid_size(n: int, force: bool) -> None:
@@ -173,24 +182,16 @@ def _grid_scan(n: int, size: int, lengths: Iterable[int], verify) -> list:
     """The shapes of size vertices and a squared side in lengths in the
     cube {0..n}^3, each confirmed by verify, sorted.
 
-    A shape's least vertex P, subtracted from its vertices, leaves the
-    origin and vectors of _sphere(s) that sort after it and lie in
-    {-n..n}^3: a clique through the origin of their translation graph.
-    The shape is in the cube exactly when P is in the box [-min, n - max]
-    of the clique on each axis, so placing each such clique at every P of
-    its box finds every shape once.  Vertices are the shared tuples of
+    A shape in the cube less its least vertex P is one of
+    _origin_shapes(s, size, n), in the cube at P exactly when P is in its
+    box [-min, n - max] on each axis.  Vertices are the shared tuples of
     _grid_points(n), at flat index (x*(n+1) + y)*(n+1) + z.
     """
     pts = _grid_points(n)
     w = n + 1
     shapes = []
     for s in lengths:
-        vectors = [v for v in _sphere(s) if max(map(abs, v)) <= n]
-        ahead = [ORIGIN] + [v for v in vectors if v > ORIGIN]
-        for clique in _cliques([_translation_graph(ahead, vectors)], size):
-            if clique[0]:  # not through the origin, index 0
-                continue
-            shape = [ahead[i] for i in clique]
+        for shape in _origin_shapes(s, size, n):
             box = [range(-min(axis), n - max(axis) + 1) for axis in zip(*shape)]
             bases = [(x * w + y) * w + z for x, y, z in product(*box)]
             columns = ([pts[b + (x * w + y) * w + z] for b in bases] for x, y, z in shape)
@@ -240,21 +241,14 @@ def _sphere(r2: int) -> list[Point]:
 
 def brute_t0(ell: int) -> list[LatticeTetrahedron]:
     """Regular tetrahedra with a vertex at the origin and squared side
-    2*ell*ell, found by raw sphere scanning, sorted by vertices.
-
-    The other three vertices lie on the sphere of squared radius
-    2*ell*ell and are pairwise at that same squared distance, so with the
-    origin they are the 4-cliques of that distance graph, found by
-    translation along the sphere itself; no four points of the sphere
-    form one, as a regular tetrahedron of squared side s has squared
-    circumradius 3s/8.  Finding the sphere takes about ell^2 steps, the
-    translation the square of its size.  ell above BRUTE_T0_MAX raises
-    RangeError before any scan.
+    2*ell*ell, sorted by vertices: each origin shape of that side
+    (_origin_shapes) moved onto each of its vertices in turn, verified by
+    from_vertices.  The sphere takes about ell^2 steps, the translation
+    the square of its size.  ell above BRUTE_T0_MAX raises RangeError.
     """
     check_range("ell", ell, 1, BRUTE_T0_MAX)
-    sphere = _sphere(2 * ell * ell)
-    return [LatticeTetrahedron.from_vertices(tet)
-            for tet in _scan(sphere + [ORIGIN], 4, lambda pts: [_translation_graph(pts, sphere)], verify_regular)]
+    return sorted(LatticeTetrahedron.from_vertices([sub(p, c) for p in shape])
+                  for shape in _origin_shapes(2 * ell * ell, 4) for c in shape)
 
 
 class ComparisonReport(namedtuple("ComparisonReport", "missing extra")):

@@ -36,7 +36,6 @@ from .triangle import (
     LatticeTriangle,
     Point,
     coeff_matrix,
-    cross,
     dot,
     triangle_points,
 )
@@ -82,12 +81,17 @@ def verify_regular(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
     """Common squared edge length of the regular tetrahedron p0 p1 p2 p3.
 
     Checks all six pairwise squared distances against the first one and
-    raises VerificationError naming the first failing pair.
+    raises VerificationError naming the first failing pair, and
+    DomainError when a point does not have three coordinates.
     """
-    x0, y0, z0 = p0
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    x3, y3, z3 = p3
+    try:
+        x0, y0, z0 = p0
+        x1, y1, z1 = p1
+        x2, y2, z2 = p2
+        x3, y3, z3 = p3
+    except ValueError:
+        raise DomainError(
+            f"a tetrahedron needs points of 3 coordinates, got {p0!r}, {p1!r}, {p2!r} and {p3!r}") from None
     dx, dy, dz = x0 - x1, y0 - y1, z0 - z1
     side = dx * dx + dy * dy + dz * dz
     if side == 0:
@@ -311,28 +315,22 @@ def corollary_solution(d: int) -> tuple[NormalQuadruple, NormalQuadruple]:
     a^2+b^2+c^2 = a'^2+b'^2+c'^2 = 3*d^2 and a*a' + b*b' + c*c' = -d^2.
 
     Built from the minimal tetrahedron over the first quadruple at scale
-    d: the base face normal and an adjacent face normal rescaled to
-    scale d solve the system exactly.  The first element is primitive,
-    so the pair never collapses to the trivial pattern
-    (d, d, d), (-d, -d, d).  Requires odd d >= 3.
+    d, with vertex sum S: (S - 4*v)/2 is the outward normal of the face
+    opposite v (face_normals) at scale d, and two of them have dot
+    product -d^2.  Taking v the apex and then the least base vertex, the
+    first is primitive, being +-quad's normal, so the pair is never the
+    trivial pattern (d, d, d), (-d, -d, d).  Requires odd d >= 3.
     """
     check_range("d", d, 3)
     if d % 2 == 0:
         raise DomainError(f"d must be odd, got {d}")
     quad = solve_three_d2(d)[0]
-    tet = signed_completions(coeff_matrix(quad), 1, 1)[0][1]
-    fns = face_normals(tet)
-    base: NormalQuadruple | None = None
-    adjacent: NormalQuadruple | None = None
-    for face in fns.faces:
-        if cross(face.normal, quad.normal) == (0, 0, 0):
-            base = face
-        elif adjacent is None:
-            adjacent = face
-    if base is None or adjacent is None:
-        raise ConstructionError(f"could not identify the base face for {quad}")
-    factor = d // adjacent.d
-    second = NormalQuadruple(adjacent.a * factor, adjacent.b * factor, adjacent.c * factor, d)
+    vertices = signed_completions(coeff_matrix(quad), 1, 1)[0][1].vertices
+    sx, sy, sz = map(sum, zip(*vertices))
+    apex = next(v for v in vertices if dot(quad.normal, v))
+    first = next(v for v in vertices if not dot(quad.normal, v))
+    base, second = (NormalQuadruple((sx - 4 * x) // 2, (sy - 4 * y) // 2, (sz - 4 * z) // 2, d)
+                    for x, y, z in (apex, first))
     if dot(base.normal, second.normal) != -d * d:
         raise ConstructionError(
             f"adjacent normals of {quad} break the -d^2 relation: {dot(base.normal, second.normal)}")

@@ -24,7 +24,7 @@ from ztetra import (
     scan_tetrahedra,
     scan_triangles,
 )
-from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _grid_points, _is_twice_square, _sphere
+from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _grid_points, _is_twice_square, _origin_shapes, _sphere
 from ztetra.triangle import ORIGIN
 
 
@@ -136,6 +136,20 @@ def test_brute_t0_matches_the_pair_scan_of_its_sphere():
     for ell in range(1, 21):
         tets = scan_tetrahedra(_sphere(2 * ell * ell) + [ORIGIN])
         assert [t.vertices for t in brute_t0(ell)] == [tet for tet in tets if ORIGIN in tet], ell
+
+
+@pytest.mark.parametrize("size, scan, lengths", [
+    (3, scan_triangles, range(2, 201, 2)),
+    (4, scan_tetrahedra, [2 * k * k for k in range(1, 21)]),
+], ids=["triangles", "tetrahedra"])
+def test_origin_shapes_match_the_pair_scan_of_their_sphere(size, scan, lengths):
+    for s in lengths:
+        shapes = sorted(_origin_shapes(s, size))
+        assert shapes == [shape for shape in scan(_sphere(s) + [ORIGIN]) if shape[0] == ORIGIN], s
+        for reach in (1, 3, 6):
+            # The shapes that fit in the cube {0..reach}^3, the ones brute_*_grid(reach) places.
+            fits = [shape for shape in shapes if all(max(axis) - min(axis) <= reach for axis in zip(*shape))]
+            assert sorted(_origin_shapes(s, size, reach)) == fits, (s, reach)
 
 
 def test_every_triangle_side_is_even():

@@ -1,5 +1,6 @@
-"""ztetra imports nothing outside the standard library, and its CLI
-imports only the public names of the package, and no grid scan."""
+"""ztetra imports nothing outside the standard library, its CLI
+imports only the public names of the package, and no grid scan, and its
+referees import no coefficient machinery."""
 
 import ast
 import os
@@ -41,6 +42,19 @@ def test_cli_imports_no_grid_scan():
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             assert not scans & {alias.name for alias in node.names}, ast.unparse(node)
+
+
+def test_oracle_imports_no_coefficient_machinery():
+    # The referees rebuild every shape from raw distances, so they import only checks and geometry.
+    allowed = {"check_range", "LatticeTetrahedron", "verify_regular", "ORIGIN", "Point", "dist_sq", "sub",
+               "verify_equilateral", "ZtetraError", "RangeError", "DomainError", "VerificationError",
+               "ConstructionError", "UsageError"}
+    path = Path(ztetra.__file__).parent / "oracle.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ztetra"):
+            assert {alias.name for alias in node.names} <= allowed, ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "ztetra" for alias in node.names), ast.unparse(node)
 
 
 def test_import_loads_no_dataclasses():

@@ -112,6 +112,16 @@ def test_from_vertices_sorts_and_records_ell():
         LatticeTetrahedron.from_vertices(((0, 0, 0), (1, -1, 0), (0, -1, 1)))
 
 
+@pytest.mark.parametrize("check", [verify_regular, lambda *pts: LatticeTetrahedron.from_vertices(pts)],
+                         ids=["verify_regular", "from_vertices"])
+@pytest.mark.parametrize("pts", [((0, 0, 0, 0), (1, -1, 0), (0, -1, 1), (1, 0, 1)),
+                                 ((0, 0), (1, -1), (0, -1), (1, 0))], ids=["four-and-three", "two"])
+def test_tetrahedron_rejects_points_not_of_three_coordinates(check, pts):
+    # (0, 0, 0, 0) would pass on its first three coordinates alone.
+    with pytest.raises(DomainError, match="a tetrahedron needs points of 3 coordinates"):
+        check(*pts)
+
+
 def test_unit_completion_is_the_known_tetrahedron():
     cm = coeff_matrix(UNIT_QUAD)
     tets = [tet for _, tet in signed_completions(cm, 1, 0)]
@@ -602,6 +612,8 @@ def test_verify_orthogonality_matches_referee_on_rotated_sets(faces, quaternion)
 
 
 def test_corollary_solution_produces_nontrivial_pairs():
+    assert corollary_solution(3) == ((-1, 5, 1, 3), (5, -1, 1, 3))
+    assert corollary_solution(101) == ((5, -157, -77, 101), (163, 53, 35, 101))
     for d in range(3, 22, 2):
         base, second = corollary_solution(d)
         assert base.d == d and second.d == d
