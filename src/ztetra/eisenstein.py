@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .errors import DomainError
 from .numtheory import check_range, factorize, zeta_pairs
@@ -60,7 +61,7 @@ class EisensteinTriple(namedtuple("EisensteinTriple", "m n k u v form")):
     u, v and form record how the generator produced the triple:
     form 1 is (m, n) = (v*v - u*u, 2*u*v - u*u) and
     form 2 is (m, n) = (2*u*v - u*u, 2*u*v - v*v), both with
-    k = zeta(u, v).
+    k = zeta(u, v).  primitive_triples runs the constructor's test inline.
     """
 
     __slots__ = ()
@@ -69,26 +70,35 @@ class EisensteinTriple(namedtuple("EisensteinTriple", "m n k u v form")):
     def __new__(cls, m: int, n: int, k: int, u: int | None = None, v: int | None = None,
                 form: int | None = None) -> EisensteinTriple:
         if k < 1 or zeta(m, n) != k * k:
-            raise DomainError(f"(m, n, k) = {(m, n, k)} needs k >= 1 and zeta(m, n) == k**2")
+            raise _not_a_triple(m, n, k)
         return tuple.__new__(cls, (m, n, k, u, v, form))
 
     def is_primitive(self) -> bool:
         return gcd(self.m, self.n) == 1
 
 
+def _not_a_triple(m: int, n: int, k: int) -> DomainError:
+    return DomainError(f"(m, n, k) = {(m, n, k)} needs k >= 1 and zeta(m, n) == k**2")
+
+
 def primitive_triples(kmax: int) -> list[EisensteinTriple]:
     """All primitive triples with zeta(m, n) == k*k, m, n > 0 and k <= kmax.
 
     Generated from coprime (u, v) with u + v not divisible by 3: form 1
-    applies when v > u, form 2 when v/2 < u < 2v; no (m, n) comes twice
-    (swept up to TRIPLES_KMAX).  The tests pin completeness against a
-    brute-force scan.  Sorted by (k, m, n).  Both forms need v > u/2,
-    and k = zeta(u, v) <= kmax bounds v by (u + sqrt(4*kmax - 3*u*u))/2,
-    so the walk visits only that part of the ellipse, about 0.9*kmax
-    pairs; kmax above TRIPLES_KMAX = 10**6 raises RangeError.
+    applies when v > u, form 2 when v/2 < u < 2v; each (m, n) is one
+    record, never two (swept up to TRIPLES_KMAX).  The tests pin
+    completeness against a brute-force scan.  Sorted by (k, m, n).  Both
+    forms need v > u/2, and k = zeta(u, v) <= kmax bounds v by
+    (u + sqrt(4*kmax - 3*u*u))/2, so the walk visits only that part of
+    the ellipse, about 0.9*kmax pairs; kmax above TRIPLES_KMAX = 10**6
+    raises RangeError.  No gcd(m, n) is tested: a prime p dividing m and
+    n divides neither u nor v (else both), and forces 3 | u + v.  Form 1:
+    n = u(2v - u), so p | 2v - u and p | 4m - (2v - u)(2v + u) = -3u^2.
+    Form 2: m = u(2v - u), n = v(2u - v), so p | 2(2v - u) + (2u - v) = 3v.
+    Either way p == 3 (p == 2 included) and 3 | 2v - u, i.e. 3 | u + v.
     """
     check_range("kmax", kmax, 1, TRIPLES_KMAX)
-    found: list[tuple[int, int, int, int, int, int]] = []
+    triples: list[EisensteinTriple] = []
     for u in range(1, isqrt(4 * kmax // 3) + 1):
         for v in range(u // 2 + 1, (u + isqrt(4 * kmax - 3 * u * u)) // 2 + 1):
             if gcd(u, v) != 1 or (u + v) % 3 == 0:
@@ -96,11 +106,13 @@ def primitive_triples(kmax: int) -> list[EisensteinTriple]:
             k = zeta(u, v)
             if v > u:
                 m, n = v * v - u * u, 2 * u * v - u * u
-                if gcd(m, n) == 1:
-                    found.append((k, m, n, u, v, 1))
+                if k < 1 or m * m - m * n + n * n != k * k:
+                    raise _not_a_triple(m, n, k)
+                triples.append(tuple.__new__(EisensteinTriple, (m, n, k, u, v, 1)))
             if 2 * u > v:
                 m, n = 2 * u * v - u * u, 2 * u * v - v * v
-                if gcd(m, n) == 1:
-                    found.append((k, m, n, u, v, 2))
-    found.sort()
-    return [EisensteinTriple(m, n, k, u, v, form) for k, m, n, u, v, form in found]
+                if k < 1 or m * m - m * n + n * n != k * k:
+                    raise _not_a_triple(m, n, k)
+                triples.append(tuple.__new__(EisensteinTriple, (m, n, k, u, v, 2)))
+    triples.sort(key=itemgetter(2, 0, 1))
+    return triples

@@ -11,7 +11,7 @@ and Eisenstein integers instead of scanning for them: solve_two_q is
 the one (r, s) solver, and solve_three_d2 factors every 3*d*d - a*a
 (odd a <= d) with one sieve over a, so its cost grows with d*d and d is
 capped at THREE_D2_DMAX.  The records are named tuples that validate
-in their constructor.
+in their constructor, or in the bulk producers' inline copy of its test.
 """
 
 from __future__ import annotations
@@ -103,10 +103,11 @@ class NormalQuadruple(namedtuple("NormalQuadruple", "a b c d")):
     A primitive solution (gcd(a, b, c) == 1) is the normal direction of
     a lattice plane through the origin carrying equilateral triangles
     with squared side 2*d*d*zeta(m, n).  Only the defining equation is
-    enforced here; the producers add their own sharper conventions
-    (solve_three_d2 emits primitive sign-canonical quadruples, face
-    normals are primitive and outward, and the adjacent-plane
-    construction legitimately rescales to non-primitive quadruples).
+    enforced here (solve_three_d2 runs this test inline); the producers
+    add their own sharper conventions (solve_three_d2 emits primitive
+    sign-canonical quadruples, face normals are primitive and outward,
+    and the adjacent-plane construction legitimately rescales to
+    non-primitive quadruples).
     """
 
     __slots__ = ()
@@ -290,7 +291,12 @@ def count_representations(k: int) -> int:
 
 
 def _norm_elements(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int, int]]:
-    """Every (x, y) with x*x + t*x*y + y*y == N, given N's factorization.
+    """Every (x, y) of norm N, once each: the unit multiples of _norm_classes."""
+    return [_mul(unit, x, t) for x in _norm_classes(factors, t) for unit in _UNITS[t]]
+
+
+def _norm_classes(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int, int]]:
+    """One (x, y) with x*x + t*x*y + y*y == N per class of associates.
 
     (x, y) stands for x + y*theta with theta*theta == t*theta - 1: the
     Gaussian integers (t = 0, theta = i, norm x^2 + y^2) or the
@@ -304,7 +310,7 @@ def _norm_elements(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int
       pi**i * conj(pi)**(e - i) for i = 0..e;
     - an inert prime gives p**(e/2), and none at all if e is odd.
 
-    Distinct choices give distinct products, so the list has no repeats.
+    By unique factorization, distinct choices are never associates.
     """
     order = 4 + t  # theta is a primitive 4th, resp. cube, root of unity
     elements = [(1, 0)]
@@ -320,7 +326,7 @@ def _norm_elements(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int
         else:
             choices = [(p ** (e // 2), 0)]
         elements = [_mul(x, y, t) for x in elements for y in choices]
-    return [_mul(unit, x, t) for unit in _UNITS[t] for x in elements]
+    return elements
 
 
 def _mul(u: tuple[int, int], v: tuple[int, int], t: int) -> tuple[int, int]:
@@ -403,8 +409,12 @@ def solve_three_d2(d: int) -> list[NormalQuadruple]:
     if d % 2 == 0:
         raise DomainError(f"d must be odd, got {d}")
     check_range("d", d, 1, THREE_D2_DMAX)
-    planes = sorted(plane for trip in _base_triples(d) for plane in _coset_maps(trip))
-    return [NormalQuadruple(a, b, c, d) for a, b, c in planes]
+    quads: list[NormalQuadruple] = []
+    for a, b, c in sorted(plane for trip in _base_triples(d) for plane in _coset_maps(trip)):
+        if a * a + b * b + c * c != 3 * d * d:
+            raise DomainError(f"{(a, b, c)} does not satisfy a^2 + b^2 + c^2 = 3*{d}^2")
+        quads.append(tuple.__new__(NormalQuadruple, (a, b, c, d)))
+    return quads
 
 
 def _base_triples(d: int) -> Iterator[tuple[int, int, int]]:
@@ -412,10 +422,14 @@ def _base_triples(d: int) -> Iterator[tuple[int, int, int]]:
     a^2 + b^2 + c^2 == 3*d^2, for an odd d the caller has range-checked.
 
     Yielded one at a time, by increasing a; every other primitive
-    solution is a signed permutation of exactly one of them.
+    solution is a signed permutation of exactly one of them.  (b, c) is
+    the first-quadrant element of an associate class of norm 3*d*d - a*a
+    (2 mod 8, so x*y != 0); the conjugate class gives (c, b), and b + b*i
+    is an associate of its conjugate, so each {b, c} comes once.
     """
     for a, factors in zip(range(1, d + 1, 2), _three_d2_factors(d)):
-        for b, c in _norm_elements(factors, _GAUSSIAN):
+        for x, y in _norm_classes(factors, _GAUSSIAN):
+            b, c = (abs(x), abs(y)) if x * y > 0 else (abs(y), abs(x))
             if a <= b <= c and gcd(gcd(a, b), c) == 1:
                 yield a, b, c
 

@@ -1,8 +1,11 @@
 """The form zeta(m, n) = m*m - m*n + n*n, its level sets and symmetries."""
 
+import hashlib
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import ztetra.eisenstein
 from ztetra import (
@@ -212,6 +215,30 @@ def test_primitive_triples_sorted_and_unique():
     keys = [(t.k, t.m, t.n) for t in triples]
     assert keys == sorted(keys)
     assert len({(t.m, t.n) for t in triples}) == len(triples)
+
+
+@given(st.integers(1, 10**9), st.integers(1, 10**9))
+def test_generator_forms_give_coprime_pairs(u, v):
+    # primitive_triples tests no gcd(m, n): its docstring proves every
+    # pair the walk admits is coprime, in each form that applies.
+    g = gcd(u, v)
+    u, v = (u // g, v // g) if 2 * v > u else (v // g, u // g)
+    assume((u + v) % 3)
+    forms = []
+    if v > u:
+        forms.append((v * v - u * u, 2 * u * v - u * u))
+    if 2 * u > v:
+        forms.append((2 * u * v - u * u, 2 * u * v - v * v))
+    assert forms
+    for m, n in forms:
+        assert m > 0 and n > 0 and gcd(m, n) == 1, (u, v, m, n)
+
+
+def test_primitive_triples_match_the_recorded_digest():
+    # SHA-256 of repr() at the arith benchmark's size, far past the square
+    # scan's kmax of 3000: a change to one record or to the order fails here.
+    digest = hashlib.sha256(repr(primitive_triples(10**5)).encode()).hexdigest()
+    assert digest == "c38f348cebe512aeb69f36f61bd06f602c4e5853ad35916d9c5f282390614ec8"
 
 
 def test_primitive_triples_bounds_kmax(monkeypatch):

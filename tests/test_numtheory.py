@@ -4,6 +4,7 @@ The referee_* functions are the scans the factorization-driven code
 replaced; the fast paths must agree with them exactly, order included.
 """
 
+import hashlib
 import time
 from itertools import permutations
 from math import gcd, isqrt
@@ -385,6 +386,17 @@ def test_solve_three_d2_matches_brute_force():
 def test_solve_three_d2_matches_scan():
     for d in range(1, 302, 2):
         assert [u.normal for u in solve_three_d2(d)] == referee_three_d2(d), d
+
+
+@pytest.mark.parametrize("d, digest", [
+    (801, "aaf1647f578a0c32363063df1dbf9208c6f50fa7a6939038e250c7b7b42cb87e"),
+    (1501, "54f0817952f42b1858c25e4fc89b46317a76ca2952fb50394014271c7c3904e9"),
+    (1999, "4e9c4ff2c6f8ed6342809852e3024644cc82b6ae8b7e533ae6d59c5980960515"),
+])
+def test_solve_three_d2_matches_the_recorded_digest(d, digest):
+    # SHA-256 of repr() at the arith benchmark's sizes, past the scan's d of
+    # 301: a change to one quadruple or to the order fails here.
+    assert hashlib.sha256(repr(solve_three_d2(d)).encode()).hexdigest() == digest
 
 
 def test_three_d2_sieve_matches_trial_division():
