@@ -8,8 +8,11 @@ on a given point set, over pairs of one coordinate-sum parity at the
 squared distances read (_pair_graphs); for the sphere referees, brute_t0
 and the grid scans, over the shapes whose least vertex is the origin,
 found by translation among the vectors of one length (_origin_shapes)
-and moved to every place they belong, so each is found once.  Guards
-keep the scans at desk scale unless explicitly overridden.
+and moved to every place they belong, so each is found once.  Their
+cost follows the shapes: translation probes only residue classes mod 4
+that can meet, brute_t0 searches only the odd part of ell, and the grid
+scans order placements by an integer key.  Guards keep the scans at
+desk scale unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from pathlib import Path
 from .errors import DomainError, RangeError
 from .numtheory import check_range
 from .tetra import LatticeTetrahedron, verify_regular
-from .triangle import ORIGIN, Point, dist_sq, sub, verify_equilateral
+from .triangle import ORIGIN, Point, dist_sq, verify_equilateral
 
 GRID_GUARD = 6
-# oracle-compare takes 0.6-0.7 s at ell = 245, 285 and 295, among the slowest to 300 (2-vCPU VM).
-BRUTE_T0_MAX = 300
+# oracle-compare takes 0.9-1.1 s at ell = 455, the slowest to 500 (2-vCPU VM).
+BRUTE_T0_MAX = 500
 
 Triangle = tuple[Point, Point, Point]
 Tetrahedron = tuple[Point, Point, Point, Point]
@@ -68,15 +71,24 @@ def _translation_graph(vectors: list[Point]) -> dict[int, set[int]]:
     Each vector is encoded as (x*W + y)*W + z, W = 4m + 1 with m the
     largest |coordinate|: linear, and one-to-one and order-preserving
     within +-2m, which holds every sum P + v of two, so the Q of P are
-    one set intersection of the codes with code(P) + the codes.
+    one set intersection of the codes with code(P) + codes.  P + v can
+    be a vector only if some vector has its residues mod 4, P's plus v's,
+    so P probes only the v of such classes: a third of all v on a sphere
+    of odd r2 = 2*ell^2, where 12 classes of the 64 occur.
     """
     w = 4 * max(map(abs, chain.from_iterable(vectors)), default=0) + 1
     index = {(x * w + y) * w + z: i for i, (x, y, z) in enumerate(vectors)}
+    classes: dict[Point, list[int]] = {}
+    for (x, y, z), e in zip(vectors, index):
+        classes.setdefault((x % 4, y % 4, z % 4), []).append(e)
     codes = set(index)
     graph = {}
-    for e, i in index.items():
-        if hits := codes.intersection(map(add, repeat(e), codes)):
-            graph[i] = set(map(index.__getitem__, hits))
+    for (a, b, c), members in classes.items():
+        probes = [e for (x, y, z), other in classes.items()
+                  if ((a + x) % 4, (b + y) % 4, (c + z) % 4) in classes for e in other]
+        for e in members:
+            if hits := codes.intersection(map(add, repeat(e), probes)):
+                graph[index[e]] = set(map(index.__getitem__, hits))
     return graph
 
 
@@ -123,7 +135,8 @@ def _is_twice_square(s2: int) -> bool:
 
 
 def _verify_triangle(a: Point, b: Point, c: Point) -> int:
-    return verify_equilateral(sub(b, a), sub(c, a))
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    return verify_equilateral((bx - ax, by - ay, bz - az), (cx - ax, cy - ay, cz - az))
 
 
 def _scan(points, size: int, keep, verify) -> list:
@@ -185,18 +198,21 @@ def _grid_scan(n: int, size: int, lengths: Iterable[int], verify) -> list:
     A shape in the cube less its least vertex P is one of
     _origin_shapes(s, size, n), in the cube at P exactly when P is in its
     box [-min, n - max] on each axis.  Vertices are the shared tuples of
-    _grid_points(n), at flat index (x*(n+1) + y)*(n+1) + z.
+    _grid_points(n), at flat index (x*(n+1) + y)*(n+1) + z.  That index
+    orders points as tuples do, and translation keeps the order of the
+    shapes at one base, so placing the sorted origin shapes and ordering
+    the placements stably by base index sorts them.
     """
     pts = _grid_points(n)
     w = n + 1
-    shapes = []
-    for s in lengths:
-        for shape in _origin_shapes(s, size, n):
-            box = [range(-min(axis), n - max(axis) + 1) for axis in zip(*shape)]
-            bases = [(x * w + y) * w + z for x, y, z in product(*box)]
-            columns = ([pts[b + (x * w + y) * w + z] for b in bases] for x, y, z in shape)
-            shapes.extend(zip(*columns))
-    shapes.sort()
+    placed: list[list] = [[] for _ in pts]
+    for shape in sorted(chain.from_iterable(_origin_shapes(s, size, n) for s in lengths)):
+        box = [range(-min(axis), n - max(axis) + 1) for axis in zip(*shape)]
+        bases = [(x * w + y) * w + z for x, y, z in product(*box)]
+        columns = ([pts[b + (x * w + y) * w + z] for b in bases] for x, y, z in shape)
+        for b, placement in zip(bases, zip(*columns)):
+            placed[b].append(placement)
+    shapes = list(chain.from_iterable(placed))
     for shape in shapes:
         verify(*shape)
     return shapes
@@ -226,16 +242,17 @@ def brute_tetrahedra_grid(n: int, *, force: bool = False) -> list[Tetrahedron]:
 
 
 def _sphere(r2: int) -> list[Point]:
-    """The lattice points p with |p|^2 = r2 in sorted order, found with one
-    isqrt per (x, y): about r2 steps instead of the cube's r2^1.5."""
+    """The lattice points p with |p|^2 = r2 in sorted order: the sign
+    changes of those with x, y, z >= 0, found with one isqrt per x, y >= 0,
+    about r2/4 steps instead of the cube's r2^1.5."""
     sphere: list[Point] = []
-    for x in range(-isqrt(r2), isqrt(r2) + 1):
-        y_reach = isqrt(r2 - x * x)
-        for y in range(-y_reach, y_reach + 1):
+    for x in range(isqrt(r2) + 1):
+        for y in range(isqrt(r2 - x * x) + 1):
             rest = r2 - x * x - y * y
             z = isqrt(rest)
             if z * z == rest:
-                sphere.extend([(x, y, -z), (x, y, z)] if z else [(x, y, 0)])
+                sphere.extend(product({x, -x}, {y, -y}, {z, -z}))
+    sphere.sort()
     return sphere
 
 
@@ -243,12 +260,17 @@ def brute_t0(ell: int) -> list[LatticeTetrahedron]:
     """Regular tetrahedra with a vertex at the origin and squared side
     2*ell*ell, sorted by vertices: each origin shape of that side
     (_origin_shapes) moved onto each of its vertices in turn, verified by
-    from_vertices.  The sphere takes about ell^2 steps, the translation
-    the square of its size.  ell above BRUTE_T0_MAX raises RangeError.
+    from_vertices.  A square is 0 or 1 mod 4, so for even ell, 2*ell^2
+    being 0 mod 4, every vertex is even and the tetrahedra of ell are
+    those of ell/2 doubled: the shapes of ell/k, k the largest power of
+    two dividing ell, are found and scaled by k.  The sphere takes about
+    ell^2/4 steps, the translation a third of the square of its size.
+    ell above BRUTE_T0_MAX raises RangeError.
     """
     check_range("ell", ell, 1, BRUTE_T0_MAX)
-    return sorted(LatticeTetrahedron.from_vertices([sub(p, c) for p in shape])
-                  for shape in _origin_shapes(2 * ell * ell, 4) for c in shape)
+    k = ell & -ell
+    return sorted(LatticeTetrahedron.from_vertices([(k * (x - cx), k * (y - cy), k * (z - cz)) for x, y, z in shape])
+                  for shape in _origin_shapes(2 * (ell // k) ** 2, 4) for cx, cy, cz in shape)
 
 
 class ComparisonReport(namedtuple("ComparisonReport", "missing extra")):

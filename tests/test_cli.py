@@ -354,7 +354,7 @@ def test_oracle_compare_clean(capsys):
 def test_oracle_compare_rejects_a_large_ell_at_once(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert "brute force (ell <= 300)" in " ".join(capsys.readouterr().out.split())
+    assert "brute force (ell <= 500)" in " ".join(capsys.readouterr().out.split())
     start = time.perf_counter()
     code = main(["oracle-compare", "--ell", "1024"])
     elapsed = time.perf_counter() - start
@@ -362,7 +362,7 @@ def test_oracle_compare_rejects_a_large_ell_at_once(capsys):
     assert code == 1
     assert elapsed < 1.0
     assert captured.out == ""
-    assert "ell must be at most 300" in captured.err
+    assert "ell must be at most 500" in captured.err
 
 
 def test_verify_round_trip(capsys, tmp_path):
@@ -691,10 +691,10 @@ def test_verify_walks_grid_counts_once_per_shape_and_n(capsys, tmp_path, monkeyp
 
 
 def test_verify_bounds_an_oracle_diff_by_the_brute_force_cap(capsys, tmp_path):
-    # oracle-compare rejects ell above BRUTE_T0_MAX = 300.
+    # oracle-compare rejects ell above BRUTE_T0_MAX = 500.
     diff = '{"kind":"diff","what":"t0_oracle","ell":%d,"missing":[],"extra":[]}'
-    assert verify_lines(capsys, tmp_path, diff % 300)[0] == 0
-    assert verify_lines(capsys, tmp_path, diff % 301) == (1, "error: <file>:1: ell must be at most 300, got 301\n")
+    assert verify_lines(capsys, tmp_path, diff % 500)[0] == 0
+    assert verify_lines(capsys, tmp_path, diff % 501) == (1, "error: <file>:1: ell must be at most 500, got 501\n")
 
 
 def test_verify_checks_provenance_against_its_producer(capsys, tmp_path):

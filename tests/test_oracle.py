@@ -24,7 +24,15 @@ from ztetra import (
     scan_tetrahedra,
     scan_triangles,
 )
-from ztetra.oracle import BRUTE_T0_MAX, GRID_GUARD, _grid_points, _is_twice_square, _origin_shapes, _sphere
+from ztetra.oracle import (
+    BRUTE_T0_MAX,
+    GRID_GUARD,
+    _grid_points,
+    _is_twice_square,
+    _origin_shapes,
+    _sphere,
+    _translation_graph,
+)
 from ztetra.triangle import ORIGIN
 
 
@@ -152,6 +160,25 @@ def test_origin_shapes_match_the_pair_scan_of_their_sphere(size, scan, lengths):
             assert sorted(_origin_shapes(s, size, reach)) == fits, (s, reach)
 
 
+def _probe_every_translate(vectors):
+    """_translation_graph's graph, with each vector probed against every vector."""
+    index = {v: i for i, v in enumerate(vectors)}
+    graph = {}
+    for i, (x, y, z) in enumerate(vectors):
+        if hits := {index[q] for q in ((x + a, y + b, z + c) for a, b, c in vectors) if q in index}:
+            graph[i] = hits
+    return graph
+
+
+def test_translation_graph_misses_no_translate():
+    # The residue classes mod 4 only skip probes that cannot hit: the graph is the unfiltered one.
+    cases = [(2 * ell * ell, None) for ell in range(1, 41)]
+    cases += [(s, reach) for s in range(2, 201, 2) for reach in (None, 1, 3, 6)]
+    for s, reach in cases:
+        vectors = [v for v in _sphere(s) if v > ORIGIN and (reach is None or max(map(abs, v)) <= reach)]
+        assert _translation_graph(vectors) == _probe_every_translate(vectors), (s, reach)
+
+
 def test_every_triangle_side_is_even():
     # So every edge joins two points whose coordinate sums share a parity (see oracle._pair_graphs).
     pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
@@ -174,6 +201,12 @@ REFEREE_DIGESTS = [
      "e68461e5b5058a82b63a2e608494426cfc40bd59337e6a5329abc4e394fa175a"),
     ("brute_t0(91)", lambda: [t.vertices for t in sorted(brute_t0(91))],
      "0f8c81609f78d89a88e4b1793c3fc1ec1e46e89c01b3426fda440477f8d76202"),
+    ("brute_t0(65)", lambda: [t.vertices for t in sorted(brute_t0(65))],
+     "e82a0d07e56f0ea062658e71252c54950a6164f3d524fe50dc9644ed18e69afd"),
+    ("brute_t0(66)", lambda: [t.vertices for t in sorted(brute_t0(66))],
+     "383088de1d6e844517a70089a2a40aae5f9f46bad6ca7ea3522bcaac0e1dcae0"),
+    ("brute_tetrahedra_grid(10)", lambda: brute_tetrahedra_grid(10, force=True),
+     "a25ea3adc8364f4b88775de36a7c8d942690df90540d0f6d970d61efc7434a8e"),
     ("scan_tetrahedra(mirrored 3)", lambda: scan_tetrahedra(_MIRRORED),
      "37e9303342d5bcd8c0b482b69b3da03767313e2814a4b66b123ee34930cf3bdc"),
     ("scan_triangles(mirrored 3)", lambda: scan_triangles(_MIRRORED),
@@ -240,10 +273,10 @@ def test_brute_t0_bound_validation():
 
 
 def test_brute_t0_rejects_ell_above_its_cap_at_once():
-    assert BRUTE_T0_MAX == 300
+    assert BRUTE_T0_MAX == 500
     start = time.perf_counter()
     for ell in (BRUTE_T0_MAX + 1, 1024, 2**63 - 1):
-        with pytest.raises(RangeError, match="at most 300"):
+        with pytest.raises(RangeError, match="at most 500"):
             brute_t0(ell)
     assert time.perf_counter() - start < 1
 
