@@ -49,6 +49,7 @@ from .tetra import (
     face_normals,
     grid_counts,
     signed_completions,
+    t0_rows,
     verify_orthogonality,
     verify_regular,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "signed_completions",
     "solve_three_d2",
     "solve_two_q",
+    "t0_rows",
     "tau_orbit",
     "triangle_points",
     "verify_equilateral",

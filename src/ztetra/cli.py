@@ -36,6 +36,7 @@ from .tetra import (
     face_normals,
     grid_counts,
     signed_completions,
+    t0_rows,
     verify_orthogonality,
 )
 from .triangle import ORIGIN, coeff_matrix, triangle_points, verify_equilateral
@@ -123,21 +124,19 @@ def cmd_complete(args) -> int:
 
 
 # One enumerate-t0 tetrahedron line: _ENCODER's line for {"kind": "tetrahedron",
-# **tet._asdict(), "provenance": {"ell": ell}}, filled in directly.
+# **tet._asdict(), "provenance": {"ell": ell}}.  ell and side_sq are filled in
+# once per run; what is left takes one t0_rows row, its 12 vertex coordinates.
 _T0_LINE = ('{"ell":%d,"kind":"tetrahedron","provenance":{"ell":%d},"side_sq":%d,'
-            '"vertices":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]]}\n')
+            '"vertices":[[%%d,%%d,%%d],[%%d,%%d,%%d],[%%d,%%d,%%d],[%%d,%%d,%%d]]}\n')
 
 
 def cmd_enumerate_t0(args) -> int:
     if args.count_only:
         value = count_t0(args.ell)
     else:
-        tets = enumerate_t0(args.ell)
-        write = sys.stdout.write
-        for tet in tets:
-            p0, p1, p2, p3 = tet.vertices
-            write(_T0_LINE % (tet.ell, args.ell, tet.side_sq, *p0, *p1, *p2, *p3))
-        value = len(tets)
+        rows, line = t0_rows(args.ell), _T0_LINE % (args.ell, args.ell, 2 * args.ell**2)
+        sys.stdout.writelines(map(line.__mod__, rows))
+        value = len(rows)
     _write_count(args, {"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": value})
     return 0
 

@@ -3,12 +3,13 @@
 A lattice equilateral triangle extends to a regular lattice tetrahedron
 exactly when its parameter pair satisfies zeta(m, n) == k*k; the apex
 sits at the triangle centroid displaced by (2k/3)(a, b, c) on one or
-both sides of the plane.  enumerate_t0 and grid_counts walk one plane
-per orbit of the 48 signed coordinate permutations.  enumerate_t0 maps
-what each parameter producing squared side 2*ell*ell builds onto the rest
-of the orbit, and count_t0 counts that set from the factorization of ell.
+both sides of the plane.  t0_rows and grid_counts walk one plane per
+orbit of the 48 signed coordinate permutations and one of each +-(m, n);
+t0_rows maps what each parameter producing squared side 2*ell*ell builds
+onto the orbit and through x -> -x, in rows that enumerate_t0 makes
+records, and count_t0 counts that set from the factorization of ell.
 grid_counts sums the translates in a cube of the shapes over each base
-plane, weighted by its orbit size; that counts each shape 3 or 12 times.
+plane, weighted by twice its orbit size; that counts each shape 3 or 12 times.
 face_normals and verify_orthogonality recover the exact rational
 orthogonal structure any such tetrahedron carries.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from math import gcd, isqrt, prod
-from operator import attrgetter
 
 from .eisenstein import omega, zeta
 from .errors import ConstructionError, DomainError, VerificationError
@@ -41,7 +41,7 @@ from .triangle import (
 )
 
 _VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# The cap of grid_counts: its triangle walk takes about 0.35 s at n = 60 (2-vCPU VM).
+# The cap of grid_counts: its triangle walk takes about 0.2 s at n = 60 (2-vCPU VM).
 GRID_COUNT_MAX = 60
 
 
@@ -152,51 +152,62 @@ def _base_planes(d: int):
         yield coeff_matrix(NormalQuadruple(*normal, d)), _coset_maps(normal).values()
 
 
-def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
+def t0_rows(ell: int) -> list[tuple[int, ...]]:
     """Every regular lattice tetrahedron with a vertex at the origin and
-    squared side 2*ell*ell, once each, sorted by vertices.
+    squared side 2*ell*ell, once each, as the 12 coordinates of its sorted
+    vertices; the rows are strictly increasing.
 
-    For each odd divisor d of ell and each primitive quadruple at scale
-    d, the triangles with parameters in omega(ell / d) are completed on
-    both sides of their plane.  Each tetrahedron has three faces through
-    the origin and each of them is built exactly once, so keeping a
-    completion only when its apex is lexicographically greater than both
-    other non-origin vertices (its canonical face) emits every
-    tetrahedron exactly once.
-
-    The planes are visited one per orbit of the 48 signed coordinate
-    permutations.  A primitive normal has a, b and c all odd, so none is
-    zero and each orbit holds exactly one base plane 0 < a <= b <= c.
-    Its triangles and apexes are built once and carried to every other
-    plane of the orbit by one signed permutation g per plane (see
-    _coset_maps).  g is a lattice isometry fixing the origin, so it maps
-    the triangles and apexes of the base plane one-to-one onto those of
-    the image plane, and the canonical-face rule is applied to the image.
-
-    The largest d is the odd part of ell, so an odd part above
-    THREE_D2_DMAX raises RangeError up front; count_t0 has no such cap.
+    For each odd d | ell and each primitive quadruple at scale d, the
+    triangles with parameters in omega(ell / d) are completed on both sides
+    of their plane.  Each tetrahedron has three faces through the origin,
+    each built exactly once, so a completion is kept only when its apex is
+    lexicographically above both other non-origin vertices (its canonical
+    face).  The planes are visited one per orbit of the 48 signed coordinate
+    permutations: a primitive normal has a, b and c odd, so each orbit holds
+    one base plane 0 < a <= b <= c, and one signed permutation g per plane
+    (_coset_maps), a lattice isometry fixing the origin, carries its
+    triangles and apexes one-to-one onto those of the image plane.  Only
+    (m, n) > (0, 0) is walked: P, Q and g are linear, and the apex
+    (P + Q + sign*2k*(a, b, c))/3 at (-m, -n) is minus the apex of sign
+    -sign at (m, n), so the tetrahedra over (-m, -n) are the -T of those T
+    over (m, n).  T is kept when its apex is above both other vertices, -T
+    when below both, and verify_regular checks each kept one on its sorted
+    vertices.  An odd part of ell above THREE_D2_DMAX, the largest d, raises
+    RangeError up front; count_t0 has no cap.
     """
     check_range("ell", ell, 1)
     odd = ell >> ((ell & -ell).bit_length() - 1)
     check_range("the odd part of ell", odd, 1, THREE_D2_DMAX)
-    tets: list[LatticeTetrahedron] = []
-    for d in range(1, odd + 1, 2):
-        if odd % d:
-            continue
+    side_sq, rows = 2 * ell * ell, []
+    for d in [d for d in range(1, odd + 1, 2) if odd % d == 0]:
         pairs = omega(ell // d)
+        pairs = pairs[len(pairs) // 2:]  # sorted, and closed under negation without (0, 0)
         for cm, maps in _base_planes(d):
             for m, n in pairs:
-                tri, apexes = _apexes(cm, m, n)
-                p, q = tri.p, tri.q
+                (p, q, _), apexes = _apexes(cm, m, n)
                 for i0, i1, i2, s1, s2 in maps:
                     gp = (p[i0], s1 * p[i1], s2 * p[i2])
                     gq = (q[i0], s1 * q[i1], s2 * q[i2])
                     for _, apex in apexes:
                         top = (apex[i0], s1 * apex[i1], s2 * apex[i2])
                         if top > gp and top > gq:
-                            tets.append(LatticeTetrahedron.from_vertices((ORIGIN, gp, gq, top)))
-    tets.sort(key=attrgetter("vertices"))  # the record order: no two share vertices
-    return tets
+                            a, b, c, e = sorted((ORIGIN, gp, gq, top))
+                        elif top < gp and top < gq:
+                            a, b, c, e = sorted((ORIGIN, (-gp[0], -gp[1], -gp[2]), (-gq[0], -gq[1], -gq[2]),
+                                                 (-top[0], -top[1], -top[2])))
+                        else:
+                            continue
+                        if verify_regular(a, b, c, e) != side_sq:
+                            raise VerificationError(f"{(a, b, c, e)} does not have squared side {side_sq}")
+                        rows.append((*a, *b, *c, *e))
+    rows.sort()
+    return rows
+
+
+def enumerate_t0(ell: int) -> list[LatticeTetrahedron]:
+    """t0_rows(ell) as records, in its order; t0_rows has verified each row."""
+    rows, side_sq = t0_rows(ell), 2 * ell * ell
+    return [tuple.__new__(LatticeTetrahedron, ((r[:3], r[3:6], r[6:9], r[9:]), side_sq, ell)) for r in rows]
 
 
 def count_t0(ell: int) -> int:
@@ -232,10 +243,12 @@ def grid_counts(n: int, shape: str) -> list[int]:
     translates in {0..i}^3.  3 * count(i) sums them over the (a, b) triangles
     of the sign-canonical planes at odd scale d with 2*d*d*zeta(a, b) <= 3*n*n
     (each origin triangle once, as Q is P turned 60 degrees one way), and
-    12 * count(i) over their completions (4 vertices, each on 3 faces).  A
-    signed permutation keeps the sorted spans, so each base plane stands for
-    its orbit with weight len(maps).  A sum 3 or 12 does not divide raises
-    ConstructionError; n above GRID_COUNT_MAX, RangeError before any work.
+    12 * count(i) over their completions (4 vertices, each on 3 faces).  The
+    shapes over (-a, -b) are minus those over (a, b), and x -> -x and every
+    signed permutation keep the sorted spans, so (a, b) > (0, 0) on one base
+    plane per orbit, weighted 2 * len(maps), stand for all.  A sum 3 or 12
+    does not divide raises ConstructionError; n above GRID_COUNT_MAX,
+    RangeError before any work.
 
     >>> grid_counts(3, "tetra"), grid_counts(3, "triangle")
     ([0, 2, 18, 72], [0, 8, 80, 368])
@@ -246,14 +259,14 @@ def grid_counts(n: int, shape: str) -> list[int]:
     copies, spans = 12 if shape == "tetra" else 3, Counter()
     for d in range(1, isqrt(3 * n * n // 2) + 1, 2):
         reach = isqrt(2 * n * n // (d * d))  # zeta(a, b) >= 3*a*a/4 and 3*b*b/4
-        box = range(-reach, reach + 1)
-        pairs = [(a, b) for a in box for b in box if 0 < 2 * d * d * (z := zeta(a, b)) <= 3 * n * n
+        pairs = [(a, b) for a in range(reach + 1) for b in range(-reach, reach + 1)
+                 if (a, b) > (0, 0) and 2 * d * d * (z := zeta(a, b)) <= 3 * n * n
                  and (shape == "triangle" or isqrt(z) ** 2 == z)]
         for cm, maps in _base_planes(d):
             for a, b in pairs:
                 for points in ([(ORIGIN, *triangle_points(cm, a, b)[:2])] if shape == "triangle"
                                else [tet.vertices for _, tet in signed_completions(cm, a, b)]):
-                    spans[tuple(sorted(max(axis) - min(axis) for axis in zip(*points)))] += len(maps)
+                    spans[tuple(sorted(max(axis) - min(axis) for axis in zip(*points)))] += 2 * len(maps)
     totals = [sum(k * prod(max(0, i + 1 - s) for s in span) for span, k in spans.items()) for i in range(n + 1)]
     if any(total % copies for total in totals):
         raise ConstructionError(f"origin shape translates {totals} are not all {copies} per {shape}")

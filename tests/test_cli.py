@@ -153,10 +153,11 @@ def test_enumerate_t0_records_and_count(capsys):
     assert verts == sorted(verts)
 
 
-@pytest.mark.parametrize("ell", [*range(1, 31), 105, 165])
+@pytest.mark.parametrize("ell", [*range(1, 31), 105, 165, 2**62, 3 * 2**40])
 def test_enumerate_t0_lines_match_json_dumps(capsys, ell):
     # The fixed line template against the generic record path, over odd
-    # and even ell, with negative coordinates in most lines.
+    # and even ell, with negative coordinates in most lines and, for the
+    # last two, coordinates past 64 bits.
     code, out = run(capsys, "enumerate-t0", "--ell", str(ell))
     assert code == 0
     want = [json.dumps({"kind": "tetrahedron", **t._asdict(), "provenance": {"ell": ell}},

@@ -31,6 +31,7 @@ from ztetra import (
     omega,
     signed_completions,
     solve_three_d2,
+    t0_rows,
     triangle_points,
     verify_orthogonality,
     verify_regular,
@@ -255,6 +256,27 @@ def test_enumerate_t0_matches_brute_force():
         assert tets == brute_t0(ell), ell
 
 
+def test_t0_rows_are_the_sorted_vertices_of_brute_force():
+    for ell in range(1, 61):
+        rows = t0_rows(ell)
+        assert type(rows) is list and all(a < b for a, b in zip(rows, rows[1:])), ell
+        assert rows == [tuple(x for v in tet.vertices for x in v) for tet in brute_t0(ell)], ell
+
+
+def test_t0_rows_reject_a_side_other_than_twice_ell_squared(monkeypatch):
+    monkeypatch.setattr(tetra, "verify_regular", lambda *pts: 2 * 3 * 3)
+    with pytest.raises(VerificationError, match="does not have squared side 2$"):
+        t0_rows(1)
+
+
+def test_t0_is_closed_under_inversion():
+    # The walk emits T over (m, n) > (0, 0) and stands it for -T over (-m, -n).
+    for ell in range(1, 31):
+        rows = t0_rows(ell)
+        inverted = [sorted(tuple(-x for x in r[i:i + 3]) for i in (0, 3, 6, 9)) for r in rows]
+        assert sorted(tuple(x for v in verts for x in v) for verts in inverted) == rows, ell
+
+
 def test_signed_completions_agree_with_fourth_vertex():
     # Reference: the apex (P + Q + sign*2k*(a, b, c)) / 3, kept for each
     # sign that lands on the lattice.
@@ -333,7 +355,7 @@ def test_full_plane_referee_closed_under_cube_symmetries():
 
 def test_orbit_walk_builds_one_plane_per_orbit(monkeypatch):
     # Call counts, not timings: coeff_matrix once per base plane and
-    # _apexes once per base plane and (m, n), at ell = 555 = 3 * 5 * 37.
+    # _apexes once per base plane and (m, n) > (0, 0), at ell = 555 = 3 * 5 * 37.
     from ztetra import tetra
 
     calls = Counter()
@@ -350,7 +372,7 @@ def test_orbit_walk_builds_one_plane_per_orbit(monkeypatch):
     divisors = [d for d in range(1, 556, 2) if 555 % d == 0]
     bases = {d: len(list(_base_triples(d))) for d in divisors}
     assert calls["coeff_matrix"] == sum(bases.values())
-    assert calls["_apexes"] == sum(bases[d] * len(omega(555 // d)) for d in divisors)
+    assert calls["_apexes"] == sum(bases[d] * len(omega(555 // d)) // 2 for d in divisors)
 
     # grid_counts walks the same base planes, for every odd d up to the largest at n = 20.
     for name in ("enumerate_t0", "solve_three_d2"):
