@@ -128,6 +128,8 @@ def cmd_complete(args) -> int:
 # once per run; what is left takes one t0_rows row, its 12 vertex coordinates.
 _T0_LINE = ('{"ell":%d,"kind":"tetrahedron","provenance":{"ell":%d},"side_sq":%d,'
             '"vertices":[[%%d,%%d,%%d],[%%d,%%d,%%d],[%%d,%%d,%%d],[%%d,%%d,%%d]]}\n')
+# Lines per stdout write: one write(2) per block even on unbuffered stdout.
+_T0_BLOCK = 4096
 
 
 def cmd_enumerate_t0(args) -> int:
@@ -135,7 +137,8 @@ def cmd_enumerate_t0(args) -> int:
         value = count_t0(args.ell)
     else:
         rows, line = t0_rows(args.ell), _T0_LINE % (args.ell, args.ell, 2 * args.ell**2)
-        sys.stdout.writelines(map(line.__mod__, rows))
+        for start in range(0, len(rows), _T0_BLOCK):
+            sys.stdout.write("".join(map(line.__mod__, rows[start:start + _T0_BLOCK])))
         value = len(rows)
     _write_count(args, {"kind": "count", "what": "tetrahedra_t0", "ell": args.ell, "value": value})
     return 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, isqrt
-from operator import itemgetter
 
 from .errors import DomainError
 from .numtheory import check_range, factorize, zeta_pairs
@@ -87,32 +86,38 @@ def primitive_triples(kmax: int) -> list[EisensteinTriple]:
     Generated from coprime (u, v) with u + v not divisible by 3: form 1
     applies when v > u, form 2 when v/2 < u < 2v; each (m, n) is one
     record, never two (swept up to TRIPLES_KMAX).  The tests pin
-    completeness against a brute-force scan.  Sorted by (k, m, n).  Both
-    forms need v > u/2, and k = zeta(u, v) <= kmax bounds v by
-    (u + sqrt(4*kmax - 3*u*u))/2, so the walk visits only that part of
-    the ellipse, about 0.9*kmax pairs; kmax above TRIPLES_KMAX = 10**6
-    raises RangeError.  No gcd(m, n) is tested: a prime p dividing m and
-    n divides neither u nor v (else both), and forces 3 | u + v.  Form 1:
+    completeness against a brute-force scan.  Both forms need v > u/2,
+    and k = zeta(u, v) <= kmax bounds v by (u + sqrt(4*kmax - 3*u*u))/2,
+    so the walk filters only that range of v per u, about 0.9*kmax pairs;
+    kmax above TRIPLES_KMAX = 10**6 raises RangeError.  No gcd(m, n) is
+    tested: a prime p dividing m and n divides neither u nor v (else
+    both), and forces 3 | u + v.  Form 1:
     n = u(2v - u), so p | 2v - u and p | 4m - (2v - u)(2v + u) = -3u^2.
     Form 2: m = u(2v - u), n = v(2u - v), so p | 2(2v - u) + (2u - v) = 3v.
     Either way p == 3 (p == 2 included) and 3 | 2v - u, i.e. 3 | u + v.
+    Sorted by (k, m, n) as the one integer (k*w + m)*w + n, w = 2*kmax:
+    k*k = (m - n/2)**2 + 3*n*n/4, so n <= 2k/sqrt(3) < w, and m likewise.
     """
     check_range("kmax", kmax, 1, TRIPLES_KMAX)
     triples: list[EisensteinTriple] = []
+    keys: list[int] = []
+    w = 2 * kmax
     for u in range(1, isqrt(4 * kmax // 3) + 1):
-        for v in range(u // 2 + 1, (u + isqrt(4 * kmax - 3 * u * u)) // 2 + 1):
-            if gcd(u, v) != 1 or (u + v) % 3 == 0:
-                continue
-            k = zeta(u, v)
+        uu = u * u
+        for v in [v for v in range(u // 2 + 1, (u + isqrt(4 * kmax - 3 * uu)) // 2 + 1)
+                  if gcd(u, v) == 1 and (u + v) % 3]:
+            uv, vv = u * v, v * v
+            k = uu - uv + vv
             if v > u:
-                m, n = v * v - u * u, 2 * u * v - u * u
+                m, n = vv - uu, 2 * uv - uu
                 if k < 1 or m * m - m * n + n * n != k * k:
                     raise _not_a_triple(m, n, k)
                 triples.append(tuple.__new__(EisensteinTriple, (m, n, k, u, v, 1)))
+                keys.append((k * w + m) * w + n)
             if 2 * u > v:
-                m, n = 2 * u * v - u * u, 2 * u * v - v * v
+                m, n = 2 * uv - uu, 2 * uv - vv
                 if k < 1 or m * m - m * n + n * n != k * k:
                     raise _not_a_triple(m, n, k)
                 triples.append(tuple.__new__(EisensteinTriple, (m, n, k, u, v, 2)))
-    triples.sort(key=itemgetter(2, 0, 1))
-    return triples
+                keys.append((k * w + m) * w + n)
+    return [triples[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]

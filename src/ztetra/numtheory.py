@@ -8,10 +8,11 @@ Brent's cycle detection for what remains, which factors every accepted
 input (up to 2**63 - 1) in well under a second.  The Diophantine
 solvers read their solutions off that factorization in the Gaussian
 and Eisenstein integers instead of scanning for them: solve_two_q is
-the one (r, s) solver, and solve_three_d2 factors every 3*d*d - a*a
-(odd a <= d) with one sieve over a, so its cost grows with d*d and d is
-capped at THREE_D2_DMAX.  The records are named tuples that validate
-in their constructor, or in the bulk producers' inline copy of its test.
+the one (r, s) solver, and solve_three_d2 factors 3*d*d - c*c for each
+odd largest coordinate d <= c < d*sqrt(3) with one sieve over c, so its
+cost grows with d*d and d is capped at THREE_D2_DMAX.  The records are
+named tuples that validate in their constructor, or in the bulk
+producers' inline copy of its test.
 """
 
 from __future__ import annotations
@@ -401,9 +402,10 @@ def solve_three_d2(d: int) -> list[NormalQuadruple]:
     d must be odd (the even case has no solutions worth inventing) and
     at most THREE_D2_DMAX = 10**5, else RangeError.  Since
     3*d*d == 3 mod 8, a primitive solution has a, b and c all odd, so
-    for each odd a <= d the pairs (b, c) are the sums of two squares
-    b*b + c*c == 3*d*d - a*a, read off the factorization of that number
-    in the Gaussian integers.  One sieve over a factors all of them.
+    for each odd c with d <= c < d*sqrt(3) (the range of the largest
+    coordinate) the pairs (a, b) are the sums of two squares
+    a*a + b*b == 3*d*d - c*c, read off the factorization of that number
+    in the Gaussian integers.  One sieve over c factors all of them.
     """
     check_range("d", d, 1)
     if d % 2 == 0:
@@ -421,32 +423,35 @@ def _base_triples(d: int) -> Iterator[tuple[int, int, int]]:
     """The base solutions of solve_three_d2: 0 < a <= b <= c, gcd 1,
     a^2 + b^2 + c^2 == 3*d^2, for an odd d the caller has range-checked.
 
-    Yielded one at a time, by increasing a; every other primitive
-    solution is a signed permutation of exactly one of them.  (b, c) is
-    the first-quadrant element of an associate class of norm 3*d*d - a*a
-    (2 mod 8, so x*y != 0); the conjugate class gives (c, b), and b + b*i
-    is an associate of its conjugate, so each {b, c} comes once.
+    Yielded one at a time, by increasing c; every other primitive
+    solution is a signed permutation of exactly one of them.  The largest
+    coordinate c is odd with d*d <= c*c < 3*d*d: c*c is at least d*d, the
+    mean of the three squares, and a, b > 0.  (a, b) is the
+    first-quadrant element of an associate class of norm 3*d*d - c*c
+    (2 mod 8, so x*y != 0); the conjugate class gives (b, a), and a + a*i
+    is an associate of its conjugate, so a <= b keeps each {a, b} once.
     """
-    for a, factors in zip(range(1, d + 1, 2), _three_d2_factors(d)):
+    for c, factors in zip(range(d, isqrt(3 * d * d) + 1, 2), _three_d2_factors(d)):
         for x, y in _norm_classes(factors, _GAUSSIAN):
-            b, c = (abs(x), abs(y)) if x * y > 0 else (abs(y), abs(x))
+            a, b = (abs(x), abs(y)) if x * y > 0 else (abs(y), abs(x))
             if a <= b <= c and gcd(gcd(a, b), c) == 1:
                 yield a, b, c
 
 
 def _three_d2_factors(d: int) -> list[tuple[tuple[int, int], ...]]:
-    """_prime_factors(3*d*d - a*a) for a = 1, 3, ..., d (odd d), by one
-    sieve over a.
+    """_prime_factors(3*d*d - c*c) for the odd c in [d, d*sqrt(3)), by one
+    sieve over c (odd d).
 
-    2 divides each exactly once, as 3*d*d - a*a == 2 mod 8.  An odd
-    prime p divides it exactly when a == +-r mod p with r*r == 3*d*d:
+    2 divides each exactly once, as 3*d*d - c*c == 2 mod 8.  An odd
+    prime p divides it exactly when c == +-r mod p with r*r == 3*d*d:
     r == 0 if p divides 3*d, r == d*sqrt(3) if 3 is a square mod p, and
-    no r otherwise.  The odd a == r mod p sit at a // 2 in steps of p.
-    Sieving the odd primes below 1000 up to sqrt(3*d*d) leaves rests
-    that _finish completes as it does for _prime_factors.
+    no r otherwise.  c = d + 2*i == r mod p at i == (r - d)*(p + 1)/2 mod
+    p, in steps of p.  Sieving the odd primes below 1000 up to
+    sqrt(3*d*d) leaves rests that _finish completes as it does for
+    _prime_factors.
     """
     target = 3 * d * d
-    rests = [(target - a * a) >> 1 for a in range(1, d + 1, 2)]
+    rests = [(target - c * c) >> 1 for c in range(d, isqrt(target) + 1, 2)]
     factors = [[(2, 1)] for _ in rests]
     size = len(rests)
     for p, root3 in _SQRT3:
@@ -456,7 +461,7 @@ def _three_d2_factors(d: int) -> list[tuple[tuple[int, int], ...]]:
             continue
         r = d * (root3 or 0) % p
         for root in {r, -r % p}:
-            for i in range((root if root % 2 else root + p) // 2, size, p):
+            for i in range((root - d) * ((p + 1) // 2) % p, size, p):
                 rest, e = rests[i] // p, 1
                 while rest % p == 0:
                     rest //= p

@@ -17,6 +17,7 @@ orthogonal structure any such tetrahedron carries.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import accumulate
 from math import gcd, isqrt, prod
 
 from .eisenstein import omega, zeta
@@ -240,8 +241,11 @@ def grid_counts(n: int, shape: str) -> list[int]:
     triangles (shape "triangle") with vertices in {0..i}^3, for i = 0..n.
 
     An origin shape spanning s_x, s_y, s_z has prod(max(0, i + 1 - s))
-    translates in {0..i}^3.  3 * count(i) sums them over the (a, b) triangles
-    of the sign-canonical planes at odd scale d with 2*d*d*zeta(a, b) <= 3*n*n
+    translates in {0..i}^3: 0 for i < c = max(s), else x**3 - e1*x**2 +
+    e2*x - e3 at x = i + 1 (e1..e3 the span's elementary symmetric sums),
+    so weighted e0..e3 bucketed by c and prefix-summed give every total in
+    O(spans + n).  3 * count(i) sums them over the (a, b) triangles of the
+    sign-canonical planes at odd scale d with 2*d*d*zeta(a, b) <= 3*n*n
     (each origin triangle once, as Q is P turned 60 degrees one way), and
     12 * count(i) over their completions (4 vertices, each on 3 faces).  The
     shapes over (-a, -b) are minus those over (a, b), and x -> -x and every
@@ -267,7 +271,12 @@ def grid_counts(n: int, shape: str) -> list[int]:
                 for points in ([(ORIGIN, *triangle_points(cm, a, b)[:2])] if shape == "triangle"
                                else [tet.vertices for _, tet in signed_completions(cm, a, b)]):
                     spans[tuple(sorted(max(axis) - min(axis) for axis in zip(*points)))] += 2 * len(maps)
-    totals = [sum(k * prod(max(0, i + 1 - s) for s in span) for span, k in spans.items()) for i in range(n + 1)]
+    sums = [[0] * 4 for _ in range(n + 1)]  # the spans' weighted e0..e3, by largest entry c
+    for (a, b, c), k in spans.items():
+        if c <= n:
+            sums[c] = [s + k * e for s, e in zip(sums[c], (1, a + b + c, a * b + b * c + c * a, a * b * c))]
+    totals = [((e0 * x - e1) * x + e2) * x - e3 for x, (e0, e1, e2, e3)
+              in enumerate(accumulate(sums, lambda s, t: [p + q for p, q in zip(s, t)]), 1)]
     if any(total % copies for total in totals):
         raise ConstructionError(f"origin shape translates {totals} are not all {copies} per {shape}")
     return [total // copies for total in totals]

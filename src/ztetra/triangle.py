@@ -153,9 +153,11 @@ def verify_equilateral(p: Point, q: Point) -> int:
     """
     if len(p) != 3 or len(q) != 3:
         raise DomainError(f"a triangle needs points of 3 coordinates, got {p!r} and {q!r}")
-    op = dist_sq(ORIGIN, p)
-    oq = dist_sq(ORIGIN, q)
-    pq = dist_sq(p, q)
+    (px, py, pz), (qx, qy, qz) = p, q
+    op = px * px + py * py + pz * pz
+    oq = qx * qx + qy * qy + qz * qz
+    dx, dy, dz = px - qx, py - qy, pz - qz
+    pq = dx * dx + dy * dy + dz * dz
     if op == 0 or oq == 0 or pq == 0:
         raise VerificationError(f"degenerate triangle: p = {p}, q = {q}")
     if op != oq:

@@ -26,7 +26,16 @@ from ztetra import (
     solve_three_d2,
     solve_two_q,
 )
-from ztetra.numtheory import INT64_MAX, _SQRT3, _prime_factors, _three_d2_factors, check_range
+from ztetra.numtheory import (
+    INT64_MAX,
+    _GAUSSIAN,
+    _SQRT3,
+    _base_triples,
+    _norm_classes,
+    _prime_factors,
+    _three_d2_factors,
+    check_range,
+)
 
 # Composites that pass Miller-Rabin to every prime base up to 7, 11,
 # 13, 19 and 31 respectively: is_prime sizes its base set by n, and a
@@ -403,7 +412,23 @@ def test_three_d2_sieve_matches_trial_division():
     for p, root in _SQRT3:
         assert (root * root - 3) % p == 0 if root is not None else pow(3, (p - 1) // 2, p) == p - 1
     for d in range(1, 302, 2):
-        assert _three_d2_factors(d) == [_prime_factors(3 * d * d - a * a) for a in range(1, d + 1, 2)], d
+        assert _three_d2_factors(d) == [_prime_factors(3 * d * d - c * c) for c in range(d, isqrt(3 * d * d) + 1, 2)], d
+
+
+def referee_base_triples(d):
+    """The walk _base_triples replaced: by the smallest coordinate a, odd
+    a <= d, with {b, c} read off the Gaussian classes of norm 3*d*d - a*a."""
+    for a in range(1, d + 1, 2):
+        for x, y in _norm_classes(_prime_factors(3 * d * d - a * a), _GAUSSIAN):
+            b, c = (abs(x), abs(y)) if x * y > 0 else (abs(y), abs(x))
+            if a <= b <= c and gcd(gcd(a, b), c) == 1:
+                yield a, b, c
+
+
+def test_base_triples_by_largest_coordinate_match_the_smallest_coordinate_walk():
+    # Each base triple once: the sorted lists agree with their repeats.
+    for d in (*range(1, 302, 2), 801, 1501, 1999):
+        assert sorted(_base_triples(d)) == sorted(referee_base_triples(d)), d
 
 
 def test_solve_three_d2_count_matches_the_product_formula():
