@@ -2,6 +2,8 @@
 
 Every subcommand prints one JSON object per line with sorted keys and no
 whitespace, so identical arguments give byte-identical output across runs.
+enumerate-t0, grid-count and verify also take --format csv for a run that
+writes only its count record; the other subcommands have no --format.
 A record is the fields of its library named tuple (_asdict) plus a kind and
 what is not a field (a quadruple's q, a b-file diff's matched, a provenance).
 verify rebuilds each record from its independent fields through the library
@@ -48,9 +50,13 @@ def _write(record: dict) -> None:
     print(_ENCODER.encode(record))
 
 
+_CSV_COUNTS_ONLY = ("--format csv supports count records only: enumerate-t0 --count-only, "
+                    "grid-count without --bfile, or verify")
+
+
 def _write_count(args, record: dict) -> None:
-    """Write the count record that ends a run.  In csv, which _check_format
-    allows for no other run, it is a header of its sorted field names and one row."""
+    """Write the count record that ends a run.  In csv (the run writes no other
+    record, see _CSV_COUNTS_ONLY) it is a header of its sorted field names and one row."""
     if args.format == "csv":
         fields = sorted(record)
         print(",".join(fields))
@@ -133,6 +139,8 @@ _T0_BLOCK = 4096
 
 
 def cmd_enumerate_t0(args) -> int:
+    if args.format == "csv" and not args.count_only:
+        raise UsageError(_CSV_COUNTS_ONLY)
     if args.count_only:
         value = count_t0(args.ell)
     else:
@@ -149,6 +157,8 @@ _GRID_SHAPES = {"tetra": "grid_tetrahedra", "triangle": "grid_triangles"}
 
 
 def cmd_grid_count(args) -> int:
+    if args.format == "csv" and args.bfile is not None:
+        raise UsageError(_CSV_COUNTS_ONLY)
     terms = None if args.bfile is None else read_bfile(args.bfile)
     counts = grid_counts(args.n, args.shape)
     _write_count(args, {"kind": "count", "what": _GRID_SHAPES[args.shape], "n": args.n, "shape": args.shape,
@@ -379,22 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (csv covers count records only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve3d2", parents=[common],
+    p = sub.add_parser("solve3d2",
                        help=f"primitive quadruples a^2+b^2+c^2 = 3d^2 for one odd d <= {THREE_D2_DMAX}")
     p.add_argument("--d", type=checked_int, required=True)
     p.set_defaults(func=cmd_solve3d2)
 
-    p = sub.add_parser("omega", parents=[common],
-                       help="all (m, n) with m^2 - mn + n^2 = k^2")
+    p = sub.add_parser("omega", help="all (m, n) with m^2 - mn + n^2 = k^2")
     p.add_argument("--k", type=checked_int, required=True)
     p.set_defaults(func=cmd_omega)
 
-    p = sub.add_parser("triples", parents=[common], help="primitive positive (m, n, k) with "
+    p = sub.add_parser("triples", help="primitive positive (m, n, k) with "
                        f"m^2 - mn + n^2 = k^2, k <= kmax <= {TRIPLES_KMAX}")
     p.add_argument("--kmax", type=checked_int, required=True)
     p.set_defaults(func=cmd_triples)
 
-    plane = argparse.ArgumentParser(add_help=False, parents=[common])
+    plane = argparse.ArgumentParser(add_help=False)
     plane.add_argument("--quad", type=quad_arg, required=True, metavar="a,b,c,d",
                        help="normal (a, b, c) and odd d of the plane, a^2+b^2+c^2 = 3d^2; write "
                        "--quad=-1,-1,-1,1 when a is negative, as in many face normals of complete --with-normals")
@@ -426,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bfile", default=None, help="OEIS b-file to compare against")
     p.set_defaults(func=cmd_grid_count)
 
-    p = sub.add_parser("oracle-compare", parents=[common], help="diff the parametrized origin "
+    p = sub.add_parser("oracle-compare", help="diff the parametrized origin "
                        f"enumeration against brute force (ell <= {BRUTE_T0_MAX})")
     p.add_argument("--ell", type=checked_int, required=True)
     p.set_defaults(func=cmd_oracle_compare)
@@ -439,21 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_format(args) -> None:
-    """Reject --format csv before any work unless the run emits count records only."""
-    counts_only = (args.func is cmd_verify
-                   or args.func is cmd_enumerate_t0 and args.count_only
-                   or args.func is cmd_grid_count and args.bfile is None)
-    if args.format == "csv" and not counts_only:
-        raise UsageError("--format csv supports count records only: enumerate-t0 --count-only, "
-                         "grid-count without --bfile, or verify")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_format(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

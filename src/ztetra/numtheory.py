@@ -291,11 +291,6 @@ def count_representations(k: int) -> int:
     return 6 * total
 
 
-def _norm_elements(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int, int]]:
-    """Every (x, y) of norm N, once each: the unit multiples of _norm_classes."""
-    return [_mul(unit, x, t) for x in _norm_classes(factors, t) for unit in _UNITS[t]]
-
-
 def _norm_classes(factors: Iterable[tuple[int, int]], t: int) -> list[tuple[int, int]]:
     """One (x, y) with x*x + t*x*y + y*y == N per class of associates.
 
@@ -374,7 +369,7 @@ def zeta_pairs(factors: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     >>> len(pairs), (8, 3) in pairs, (5, -3) in pairs
     (18, True, True)
     """
-    return _norm_elements(factors, _EISENSTEIN)
+    return [_mul(unit, x, _EISENSTEIN) for x in _norm_classes(factors, _EISENSTEIN) for unit in _UNITS[_EISENSTEIN]]
 
 
 def solve_two_q(q: int) -> list[RSPair]:

@@ -344,8 +344,6 @@ def corollary_solution(d: int) -> tuple[NormalQuadruple, NormalQuadruple]:
     trivial pattern (d, d, d), (-d, -d, d).  Requires odd d >= 3.
     """
     check_range("d", d, 3)
-    if d % 2 == 0:
-        raise DomainError(f"d must be odd, got {d}")
     quad = solve_three_d2(d)[0]
     vertices = signed_completions(coeff_matrix(quad), 1, 1)[0][1].vertices
     sx, sy, sz = map(sum, zip(*vertices))

@@ -213,13 +213,26 @@ def test_csv_rejects_non_count_records(capsys):
 @pytest.mark.parametrize("argv", [("oracle-compare", "--ell", "100"), ("enumerate-t0", "--ell", "9999")])
 def test_csv_rejects_non_count_runs_at_once(capsys, argv):
     start = time.perf_counter()
-    code = main([*argv, "--format", "csv"])
+    if argv[0] == "oracle-compare":  # it has no --format, so argparse rejects one
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        code, message = exc.value.code, "unrecognized arguments: --format csv"
+    else:
+        code, message = main([*argv, "--format", "csv"]), "--format csv supports count records only"
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2
     assert elapsed < 1.0
     assert captured.out == ""
-    assert "--format csv supports count records only" in captured.err
+    assert message in captured.err
+
+
+def test_format_is_an_option_of_the_csv_subcommands_only(capsys):
+    for name in ("solve3d2", "omega", "triples", "triangles", "complete", "enumerate-t0", "grid-count",
+                 "oracle-compare", "verify"):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        assert ("--format" in capsys.readouterr().out) == (name in ("enumerate-t0", "grid-count", "verify")), name
 
 
 def test_grid_count(capsys):

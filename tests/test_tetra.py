@@ -416,6 +416,13 @@ def test_grid_counts_match_the_translates_of_t0_for_every_n():
     assert all(total % 4 == 0 for total in totals)
     for n in range(31):
         assert grid_counts(n, "tetra") == [total // 4 for total in totals[:n + 1]], n
+    # At the cap, each tetrahedron in the cube less its least vertex is one row of T0 whose
+    # first (sorted, so least) vertex is the origin: weight 1 each, no division.
+    cap = tetra.GRID_COUNT_MAX
+    spans = [[max(row[k::3]) - min(row[k::3]) for k in range(3)]
+             for ell in range(1, isqrt(3 * cap * cap // 2) + 1) for row in t0_rows(ell) if not any(row[:3])]
+    assert grid_counts(cap, "tetra") == [sum(prod(max(0, i + 1 - s) for s in span) for span in spans)
+                                         for i in range(cap + 1)]
 
 
 def test_grid_counts_reject_bad_input_before_any_work():
