@@ -8,7 +8,9 @@ A record is the fields of its library named tuple (_asdict) plus a kind and
 what is not a field (a quadruple's q, a b-file diff's matched, a provenance).
 verify rebuilds each record from its independent fields through the library
 (_REBUILDS) and requires the record to equal that rebuild; a triangles or
-complete provenance must rebuild the whole record through _plane_records.
+complete provenance must rebuild the whole record through _plane_records, and a
+diff is rebuilt by its producer's builder (_bfile_diffs, _t0_diff) re-running
+compare_with_bfile or compare on what the record implies.
 grid-count, its --bfile diff and verify's recounts are grid_counts calls; the
 oracle's grid scans referee it and are not imported here.  Exit codes: 0
 success, 1 domain or verification failure (including a nonempty oracle
@@ -165,17 +167,28 @@ def cmd_grid_count(args) -> int:
                         "value": counts[-1]})
     if terms is None:
         return 0
-    for report in compare_with_bfile(dict(enumerate(counts)), terms):
-        _write({"kind": "diff", "what": "bfile", "shape": args.shape, **report._asdict(),
-                "matched": report.matched})
+    for diff in _bfile_diffs(counts, terms, args.shape):
+        _write(diff)
     return 0
+
+
+def _bfile_diffs(counts: list[int], terms, shape: str) -> list[dict]:
+    """The diff records, offset 0 then 1, of the grid counts counts[n] against b-file terms."""
+    return [{"kind": "diff", "what": "bfile", "shape": shape, "offset": r.offset, "matched": r.matched,
+             "mismatches": [list(m) for m in r.mismatches], "missing": list(r.missing)}
+            for r in compare_with_bfile(dict(enumerate(counts)), terms)]
+
+
+def _t0_diff(ell: int, report) -> dict:
+    """The diff record of a compare report on T0(ell)."""
+    missing, extra = ([list(map(list, t.vertices)) for t in side] for side in (report.missing, report.extra))
+    return {"kind": "diff", "what": "t0_oracle", "ell": ell, "missing": missing, "extra": extra}
 
 
 def cmd_oracle_compare(args) -> int:
     brute = brute_t0(args.ell)  # first, so an ell above its cap is rejected before any work
     report = compare(enumerate_t0(args.ell), brute)
-    _write({"kind": "diff", "what": "t0_oracle", "ell": args.ell,
-            "missing": [t.vertices for t in report.missing], "extra": [t.vertices for t in report.extra]})
+    _write(_t0_diff(args.ell, report))
     return 0 if report.is_empty() else 1
 
 
@@ -224,7 +237,8 @@ def _quadruple(rec: dict, recount) -> dict:
 
 
 def _pair(rec: dict, recount) -> dict:
-    return {"kind": "pair", **dict(zip("mnk", EisensteinTriple(rec["m"], rec["n"], rec["k"])))}
+    m, n, k = int(rec["m"]), int(rec["n"]), int(rec["k"])  # int(), by the rule above: zeta repeats a list m times
+    return {"kind": "pair", **dict(zip("mnk", EisensteinTriple(m, n, k)))}
 
 
 def _normal_set(rec: dict, recount) -> dict:
@@ -257,42 +271,27 @@ def _verified_count(rec: dict, recount) -> dict:
 
 
 def _bfile_diff(rec: dict, recount) -> dict:
-    shape, missing = rec["shape"], list(rec["missing"])
-    mismatches = [[i, ours, int(theirs)] for i, ours, theirs in rec["mismatches"]]  # any b-file term
-    check_range("offset", rec["offset"], 0, 1)
+    # compare_with_bfile on the terms the record implies: ours at each size it does not list,
+    # theirs (any b-file term) at each mismatch, and none at each missing size.
+    offset, shape, missing = rec["offset"], rec["shape"], list(rec["missing"])
+    check_range("offset", offset, 0, 1)
     if type(rec["matched"]) is not bool:  # == takes 1 for true; see also _verify_record
         raise TypeError(f"matched must be a boolean, got {rec['matched']!r}")
-    # compare_with_bfile lists each grid size once, in increasing order, as a mismatch or as missing.
-    sizes = [i for i, _, _ in mismatches]
-    for listed in (sizes, missing):
-        if listed != sorted(set(listed)) or listed and not 0 <= listed[0] <= listed[-1] <= GRID_COUNT_MAX:
-            raise VerificationError(f"grid sizes {listed} are not increasing in [0, {GRID_COUNT_MAX}]")
-    if set(sizes) & set(missing):
-        raise VerificationError(f"grid sizes {sorted(set(sizes) & set(missing))} are mismatched and missing")
-    counts = recount(sizes[-1] if sizes else 0, shape)  # also rejects a shape grid_counts does not count
-    for i, ours, theirs in mismatches:
-        if ours == theirs:
-            raise VerificationError(f"mismatch {[i, ours, theirs]} has ours equal to theirs")
-        if ours != counts[i]:
-            raise VerificationError(f"mismatch {[i, ours, theirs]} records ours {ours} != {counts[i]}, "
-                                    f"the {_GRID_SHAPES[shape]} in {{0..{i}}}^3")
-    return {"kind": "diff", "what": "bfile", "shape": shape, "offset": rec["offset"],
-            "matched": not mismatches and not missing, "mismatches": mismatches, "missing": missing}
+    theirs = {i: int(t) for i, _, t in rec["mismatches"]}
+    counts = recount(max([*theirs, *missing], default=0), shape)
+    terms = [(i + offset, theirs.get(i, c)) for i, c in enumerate(counts) if i not in missing]
+    return _bfile_diffs(counts, terms, shape)[offset]
 
 
 def _oracle_diff(rec: dict, recount) -> dict:
-    # Each listed tetrahedron is a distinct member of T0(ell), with a vertex at the origin.
-    ell, seen = rec["ell"], set()
+    # compare re-run on the listed members of T0(ell): missing as brute force's, extra as the enumeration's.
+    ell = rec["ell"]
     check_range("ell", ell, 1, BRUTE_T0_MAX)
-    for vertices in (*rec["missing"], *rec["extra"]):
-        tet = LatticeTetrahedron.from_vertices(vertices)
+    missing, extra = ([LatticeTetrahedron.from_vertices(v) for v in rec[side]] for side in ("missing", "extra"))
+    for tet in (*missing, *extra):
         if ORIGIN not in tet.vertices or tet.ell != ell:
-            raise VerificationError(f"tetrahedron {vertices} is not in T0({ell})")
-        if tet in seen:
-            raise VerificationError(f"tetrahedron {vertices} is listed twice")
-        seen.add(tet)
-    return {"kind": "diff", "what": "t0_oracle", "ell": ell, "missing": [[list(p) for p in t] for t in rec["missing"]],
-            "extra": [[list(p) for p in t] for t in rec["extra"]]}
+            raise VerificationError(f"tetrahedron {list(map(list, tet.vertices))} is not in T0({ell})")
+    return _t0_diff(ell, compare(extra, missing))
 
 
 # The rebuild of each record a producer writes, keyed by kind, or by kind and what for counts and diffs.

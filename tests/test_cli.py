@@ -8,11 +8,14 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from functools import partial
+from itertools import combinations
 
 import pytest
 
-from ztetra import (DomainError, EisensteinTriple, VerificationError, brute_tetrahedra_grid, brute_triangles_grid,
-                    enumerate_t0)
+from ztetra import (DomainError, EisensteinTriple, VerificationError, ZtetraError, brute_tetrahedra_grid,
+                    brute_triangles_grid, enumerate_t0)
 from ztetra import cli
 from ztetra.cli import cmd_verify, main
 
@@ -534,13 +537,14 @@ def test_verify_checks_count_and_diff_field_types(capsys, tmp_path):
         assert capsys.readouterr() == ("", f"error: {path}:2: {error}\n"), bad
 
 
-def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
+def every_producers_records(capsys, tmp_path, monkeypatch):
+    """The records every producer writes, diff records with nonempty lists of both kinds,
+    each run followed by verify's count of it; verify accepts each run with and without its count."""
     path = tmp_path / "records.jsonl"
     bfile = tmp_path / "b.txt"
     bfile.write_text("0 0\n1 5\n2 18\n")
     full, full_brute = cli.enumerate_t0, cli.brute_t0
-    # Every producer, with diff records holding nonempty lists of both kinds.
-    keys = set()
+    lines = []
     for argv in (["solve3d2", "--d", "3"],
                  ["omega", "--k", "7"],
                  ["triples", "--kmax", "10"],
@@ -561,9 +565,15 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         path.write_text(path.read_text() + out)
         assert run(capsys, "verify", "--file", str(path))[0] == 0, argv
-        keys.update((r["kind"], r["what"]) if r["kind"] in ("count", "diff") else r["kind"]
-                    for r in records(path.read_text()))
+        lines += path.read_text().splitlines()
+    return lines
+
+
+def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "records.jsonl"
     # verify has a rebuild for each record some producer writes, and no other.
+    keys = {(r["kind"], r["what"]) if r["kind"] in ("count", "diff") else r["kind"]
+            for r in records("\n".join(every_producers_records(capsys, tmp_path, monkeypatch)))}
     assert keys == set(cli._REBUILDS)
     good = '{"kind":"pair","m":8,"n":3,"k":7}'
     bfile_diff = '{"kind":"diff","what":"bfile","offset":0,"shape":"tetra",'
@@ -582,7 +592,6 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         bfile_diff + '"matched":false,"mismatches":[[1,2]],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[1,2,5],"missing":[]}',
         bfile_diff + '"matched":false,"mismatches":[[3,72,[73]]],"missing":[]}',
-        bfile_diff + '"matched":false,"mismatches":[],"missing":[[3]]}',
         bfile_diff + '"matched":false,"mismatches":[],"missing":3}',
         bfile_diff.replace('"shape":"tetra",', '') + '"matched":true,"mismatches":[],"missing":[]}',
         bfile_diff.replace('"offset":0,', '') + '"matched":true,"mismatches":[],"missing":[]}',
@@ -594,23 +603,33 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         (bfile_diff.replace('"tetra"', '"cube"') + '"matched":true,"mismatches":[],"missing":[]}',
          "shape must be 'tetra' or 'triangle', got 'cube'"),
     )
-    # compare_with_bfile lists only grid sizes in [0, GRID_COUNT_MAX], each once and in order, and a
-    # mismatch only where our count, grid_counts(n, shape)[n], differs from the b-file's term.
-    sizes = "grid sizes"
+    # A bfile diff is rebuilt by compare_with_bfile on the b-file terms it implies, so a size
+    # listed out of order or twice, in both lists or with ours other than our count
+    # grid_counts(n, shape)[n], differs from its rebuild, and a size outside [0, GRID_COUNT_MAX] is
+    # one no recount takes.
+    rebuilt = ", rebuilt from the other fields"
     unwritten = (
-        (bfile_diff + '"matched":false,"mismatches":[[1,2,2]],"missing":[]}', "mismatch [1, 2, 2] has ours equal"),
-        (bfile_diff + '"matched":false,"mismatches":[[1,5,7]],"missing":[-3,-3]}', f"{sizes} [-3, -3]"),
+        (bfile_diff + '"matched":false,"mismatches":[[1,2,2]],"missing":[]}', "recorded matched false != true"),
+        (bfile_diff + '"matched":false,"mismatches":[[1,5,7]],"missing":[-3,-3]}',
+         "recorded mismatches [[1,5,7]] != [[1,2,7]]" + rebuilt),
+        (bfile_diff + '"matched":false,"mismatches":[[1,2,7]],"missing":[-3,-3]}', "recorded missing [-3,-3] != []"),
         (bfile_diff + '"matched":false,"mismatches":[[1,5,7]],"missing":[]}',
-         "mismatch [1, 5, 7] records ours 5 != 2, the grid_tetrahedra in {0..1}^3"),
-        (bfile_diff + '"matched":false,"mismatches":[[999,5,7]],"missing":[]}', f"{sizes} [999] are not"),
-        (bfile_diff + '"matched":false,"mismatches":[[2,18,5],[1,2,5]],"missing":[]}', f"{sizes} [2, 1]"),
-        (bfile_diff + '"matched":false,"mismatches":[],"missing":[0,61]}', f"{sizes} [0, 61]"),
-        (bfile_diff + '"matched":false,"mismatches":[[1,2,5]],"missing":[1,3]}', f"{sizes} [1] are mismatched"),
+         "recorded mismatches [[1,5,7]] != [[1,2,7]]" + rebuilt),
+        (bfile_diff + '"matched":false,"mismatches":[[999,5,7]],"missing":[]}', "n must be at most 60, got 999"),
+        (bfile_diff + '"matched":false,"mismatches":[[2,18,5],[1,2,5]],"missing":[]}',
+         "recorded mismatches [[2,18,5],[1,2,5]] != [[1,2,5],[2,18,5]]" + rebuilt),
+        (bfile_diff + '"matched":false,"mismatches":[[1,2,5],[1,2,5]],"missing":[]}',
+         "recorded mismatches [[1,2,5],[1,2,5]] != [[1,2,5]]" + rebuilt),
+        (bfile_diff + '"matched":false,"mismatches":[],"missing":[3,2]}', "recorded missing [3,2] != [2,3]"),
+        (bfile_diff + '"matched":false,"mismatches":[],"missing":[0,61]}', "n must be at most 60, got 61"),
+        (bfile_diff + '"matched":false,"mismatches":[],"missing":[[3]]}', "n must be an integer, got [3]"),
+        (bfile_diff + '"matched":false,"mismatches":[[1,2,5]],"missing":[1,3]}',
+         "recorded mismatches [[1,2,5]] != []" + rebuilt),
     )
-    # T0(2) holds {0, (2,2,0), (2,0,2), (0,2,2)}; these lists hold shapes outside it,
-    # and the last two list one member of T0(1) twice, as compare never does.
+    # A t0_oracle diff is rebuilt by compare on the tetrahedra it lists, each a member of T0(ell):
+    # T0(2) holds {0, (2,2,0), (2,0,2), (0,2,2)}, and these lists hold shapes outside it.  A member
+    # listed twice, in both lists or out of the sorted order compare writes differs from its rebuild.
     cube = "[[0,0,0],[1,1,0],[1,0,1],[0,1,1]]"
-    twice = "tetrahedron [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]] is listed twice"
     outside_t0 = (
         (oracle_diff + '"missing":"abc","extra":{"x":1}}', "a tetrahedron needs exactly 4 vertices, got 1"),
         (oracle_diff + '"missing":[],"extra":{"x":1}}', "a tetrahedron needs exactly 4 vertices, got 1"),
@@ -620,8 +639,21 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         (oracle_diff + '"missing":[],"extra":[[[0,0,0],[2,2,0],[2,0,2],[2,2,2]]]}', "|p0 p3|^2"),
         (oracle_diff + '"missing":[],"extra":[[[1,1,1],[3,3,1],[3,1,3],[1,3,3]]]}', "tetrahedron [[1, 1, 1]"),
         (oracle_diff + '"missing":[[[0,0,0],[1,1,0],[1,0,1],[0,1,1]]],"extra":[]}', "tetrahedron [[0, 0, 0]"),
-        ('{"kind":"diff","what":"t0_oracle","ell":1,"missing":[' + cube + '],"extra":[' + cube + "]}", twice),
-        ('{"kind":"diff","what":"t0_oracle","ell":1,"missing":[' + cube + "," + cube + '],"extra":[]}', twice),
+    )
+    sorted_cube, other = "[[0,0,0],[0,1,1],[1,0,1],[1,1,0]]", "[[-1,-1,0],[-1,0,-1],[0,-1,-1],[0,0,0]]"
+    t0_diff = '{"kind":"diff","what":"t0_oracle","ell":1,"missing":[%s],"extra":[%s]}'
+    unordered = (
+        (t0_diff % (cube, cube), f"recorded extra [{cube}] != []" + rebuilt),
+        (t0_diff % (f"{cube},{cube}", ""), f"recorded missing [{cube},{cube}] != [{sorted_cube}]" + rebuilt),
+        (t0_diff % (sorted_cube, sorted_cube), f"recorded extra [{sorted_cube}] != []" + rebuilt),
+        (t0_diff % (f"{sorted_cube},{sorted_cube}", ""),
+         f"recorded missing [{sorted_cube},{sorted_cube}] != [{sorted_cube}]" + rebuilt),
+        (t0_diff % ("", f"{other},{other}"), f"recorded extra [{other},{other}] != [{other}]" + rebuilt),
+        # Vertices, then the list, out of the order compare writes.
+        ('{"ell":1,"extra":[],"kind":"diff","missing":[[[1,1,0],[0,0,0],[1,0,1],[0,1,1]]],"what":"t0_oracle"}',
+         f"recorded missing [[[1,1,0],[0,0,0],[1,0,1],[0,1,1]]] != [{sorted_cube}]" + rebuilt),
+        ('{"ell":1,"extra":[],"kind":"diff","missing":[' + f"{sorted_cube},{other}" + '],"what":"t0_oracle"}',
+         f"recorded missing [{sorted_cube},{other}] != [{other},{sorted_cube}]" + rebuilt),
     )
     # The rebuilds write lists and integers of their own, so another JSON type in their place differs.
     retyped = (
@@ -633,7 +665,8 @@ def test_verify_checks_what_and_diff_lists(capsys, tmp_path, monkeypatch):
         (bfile_diff + '"matched":false,"mismatches":[[3,72,"73"]],"missing":[]}',
          'recorded mismatches [[3,72,"73"]] != [[3,72,73]], rebuilt'),
     )
-    cases = [(bad, "malformed record") for bad in malformed] + [*disagreeing, *unwritten, *outside_t0, *retyped]
+    cases = [(bad, "malformed record") for bad in malformed] + [*disagreeing, *unwritten, *outside_t0, *unordered,
+                                                                *retyped]
     for bad, reason in cases:
         path.write_text(good + "\n" + bad + "\n")
         assert main(["verify", "--file", str(path)]) == 1, bad
@@ -698,10 +731,62 @@ def test_verify_walks_grid_counts_once_per_shape_and_n(capsys, tmp_path, monkeyp
     assert verify_lines(capsys, tmp_path, *[tetra8] * 19, count % ("tetrahedra", 3, "tetra", 73)) == (
         1, "error: <file>:20: recorded value 73 != 72, rebuilt from the other fields\n")
     assert verify_lines(capsys, tmp_path, tetra8, diff % 71) == (
-        1, "error: <file>:2: mismatch [3, 71, 73] records ours 71 != 72, the grid_tetrahedra in {0..3}^3\n")
+        1, "error: <file>:2: recorded mismatches [[3,71,73]] != [[3,72,73]], rebuilt from the other fields\n")
     assert verify_lines(capsys, tmp_path, triangle4, triangle4.replace("1264", "1265")) == (
         1, "error: <file>:2: recorded value 1265 != 1264, rebuilt from the other fields\n")
     assert walks == [(8, "tetra"), (8, "tetra"), (4, "triangle")]
+
+
+# JSON values of every type, and integers at and past the bounds the rebuilds check.  None lies
+# between 10**6 and 2**62, so no case can ask a rebuild for much memory or time.
+SWEEP_VALUES = (0, -1, 2, 61, 501, 2**63, -2**64, "", "a", [], [1], {}, None, True)
+
+
+def test_verify_raises_only_what_it_reports(capsys, tmp_path, monkeypatch):
+    # Each field, and each pair of fields, of every record a producer writes, set to each sweep
+    # value: _verify_record returns or raises only what cmd_verify reports as a failed record.
+    recount = partial(cli._recount, {})
+    for line in dict.fromkeys(every_producers_records(capsys, tmp_path, monkeypatch)):
+        rec = json.loads(line)
+        changes = [*({f: v} for f in rec for v in SWEEP_VALUES),
+                   *({f: v, g: w} for f, g in combinations(rec, 2) for v in SWEEP_VALUES for w in SWEEP_VALUES)]
+        for change in changes:
+            bad = json.dumps({**rec, **change})
+            try:
+                cli._verify_record(bad, recount)
+            except (ZtetraError, KeyError, TypeError, ValueError, RecursionError):
+                pass
+
+
+def test_verify_takes_a_pairs_fields_through_int(capsys, tmp_path):
+    # zeta(m, n) computes m * n, which for a list n would repeat it m times.
+    for m in (10**7, 2**63):
+        tracemalloc.start()
+        try:
+            code, err = verify_lines(capsys, tmp_path, '{"kind":"pair","m":%d,"n":[1],"k":7}' % m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and err.startswith("error: <file>:1: malformed record (int() argument"), err
+        assert peak < 2**20, peak
+
+
+def test_verify_rebuilds_each_diff_by_one_library_comparison(capsys, tmp_path, monkeypatch):
+    # No second copy of compare_with_bfile or compare: each diff's rebuild calls its producer's once.
+    calls = []
+
+    def spy(name, call):
+        return lambda *args: calls.append(name) or call(*args)
+
+    for name in ("compare_with_bfile", "compare"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    bfile = ('{"kind":"diff","what":"bfile","shape":"tetra","offset":1,"matched":false,'
+             '"mismatches":[[2,18,5]],"missing":[3]}')
+    t0 = '{"kind":"diff","what":"t0_oracle","ell":1,"missing":[[[0,0,0],[0,1,1],[1,0,1],[1,1,0]]],"extra":[]}'
+    for line, name in ((bfile, "compare_with_bfile"), (t0, "compare")):
+        assert verify_lines(capsys, tmp_path, line)[0] == 0
+        assert calls == [name]
+        calls.clear()
 
 
 def test_verify_bounds_an_oracle_diff_by_the_brute_force_cap(capsys, tmp_path):
