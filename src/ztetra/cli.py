@@ -7,9 +7,9 @@ writes only its count record; the other subcommands have no --format.
 A record is the fields of its library named tuple (_asdict) plus a kind and
 what is not a field (a quadruple's q, a b-file diff's matched, a provenance).
 verify rebuilds each record from its independent fields through the library
-(_REBUILDS) and requires the record to equal that rebuild; a triangles or
-complete provenance must rebuild the whole record through _plane_records, and a
-diff is rebuilt by its producer's builder (_bfile_diffs, _t0_diff) re-running
+(_REBUILDS) and requires the record to equal that rebuild; a record with a
+triangles or complete provenance is rebuilt by its producers' _plane_records,
+and a diff by its producer's builder (_bfile_diffs, _t0_diff) re-running
 compare_with_bfile or compare on what the record implies.
 grid-count, its --bfile diff and verify's recounts are grid_counts calls; the
 oracle's grid scans referee it and are not imported here.  Exit codes: 0
@@ -311,9 +311,9 @@ _REBUILDS = {
 
 
 def _verify_record(line: str, recount) -> None:
-    """Require the record on line to equal its rebuild in _REBUILDS, with no
-    true, false or null but a bfile diff's matched, and to be rebuilt whole
-    by its triangles or complete provenance if it has one."""
+    """Require the record on line to equal its one rebuild, _plane's for a
+    triangles or complete provenance and _REBUILDS's for any other, with no
+    true, false or null but a bfile diff's matched."""
     rec = _DECODER.decode(line)
     if type(rec) is not dict:
         raise DomainError("record is not an object")
@@ -326,10 +326,7 @@ def _verify_record(line: str, recount) -> None:
     # no producer writes in a string, nor as a value but a bfile diff's matched (a bool).
     if line.count("true") + line.count("false") + line.count("null") > (key == ("diff", "bfile")):
         raise TypeError("no producer writes true, false or null here")
-    built = rebuild(rec, recount)
-    if "quad" in rec.get("provenance", ()):
-        _check_plane(rec, rec["provenance"])  # the whole record, from its triangles or complete provenance
-        built["provenance"] = rec["provenance"]
+    built = _plane(kind, rec["provenance"]) if "quad" in rec.get("provenance", ()) else rebuild(rec, recount)
     if rec != built:  # name the first field, in sorted order, that is extra, missing (KeyError) or wrong
         name = min(rec.keys() ^ built.keys() or (name for name in rec if rec[name] != built[name]))
         if name not in built:
@@ -338,16 +335,17 @@ def _verify_record(line: str, recount) -> None:
                                 "rebuilt from the other fields")
 
 
-def _check_plane(rec: dict, prov: dict) -> None:
-    """Require rec to be one of the records that _plane_records writes for the
-    triangles or complete provenance prov; a triangle can only be the first."""
-    line = _ENCODER.encode(rec)
+def _plane(kind: str, prov: dict) -> dict:
+    """The record of kind that _plane_records writes with the triangles or complete
+    provenance prov, as decoded JSON holds it; a triangle can only be the first."""
     # int(), by the rule of the rebuilds above; point_p would repeat a string m.
     records = _plane_records(prov["quad"], int(prov["m"]), int(prov["n"]))
-    if rec["kind"] == "triangle":
+    if kind == "triangle":
         records = [next(records)]
-    if not any(_ENCODER.encode(built) == line for built in records):
-        raise VerificationError(f"the provenance {_ENCODER.encode(prov)} does not rebuild this record")
+    for built in map(_DECODER.decode, map(_ENCODER.encode, records)):
+        if built["kind"] == kind and built["provenance"] == prov:
+            return built
+    raise VerificationError(f"the provenance {_ENCODER.encode(prov)} does not rebuild this record")
 
 
 def cmd_verify(args) -> int:

@@ -40,11 +40,8 @@ _MR_EXACT_BELOW = _MR_EXACT[-1][0]
 # Eisenstein integers Z[omega].
 _GAUSSIAN = 0
 _EISENSTEIN = -1
-# The elements of norm 1 of each ring.
-_UNITS = {
-    t: [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x * x + t * x * y + y * y == 1]
-    for t in (_GAUSSIAN, _EISENSTEIN)
-}
+# The units of Z[omega], its elements of norm 1.
+_UNITS = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x * x - x * y + y * y == 1]
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -369,7 +366,7 @@ def zeta_pairs(factors: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     >>> len(pairs), (8, 3) in pairs, (5, -3) in pairs
     (18, True, True)
     """
-    return [_mul(unit, x, _EISENSTEIN) for x in _norm_classes(factors, _EISENSTEIN) for unit in _UNITS[_EISENSTEIN]]
+    return [_mul(unit, x, _EISENSTEIN) for x in _norm_classes(factors, _EISENSTEIN) for unit in _UNITS]
 
 
 def solve_two_q(q: int) -> list[RSPair]:

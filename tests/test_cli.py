@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ from ztetra import (DomainError, EisensteinTriple, VerificationError, ZtetraErro
                     brute_triangles_grid, enumerate_t0)
 from ztetra import cli
 from ztetra.cli import cmd_verify, main
+
+# The environment of a child interpreter: ours, with PYTHONPATH set to the tree this ztetra was imported from.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
 def run(capsys, *argv):
@@ -851,16 +855,25 @@ def test_verify_rebuilds_a_plane_provenance(capsys, tmp_path):
     good = (tet % (plane % 1, up), normals % (faces_up, plane % 1),
             tet % (plane % -1, down), normals % (faces_down, plane % -1))
     assert verify_lines(capsys, tmp_path, *good)[0] == 0
-    # Each record below is none of the records its provenance rebuilds.
+    # A provenance that rebuilds a record of the kind names the first field that differs from it.
+    rebuilt = "rebuilt from the other fields"
+    tet_up = "[[-288,255,-33],[-33,288,255],[0,0,0],[75,363,-108]]"
+    differs = {
+        '{"kind":"triangle","p":[1,-1,0],"q":[0,-1,1],"side_sq":2,'
+        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":0,"n":1}}': f"recorded p [1,-1,0] != [-1,0,1], {rebuilt}",
+        tet % (plane.replace('"m":3,"n":0', '"m":0,"n":3') % 1, up):
+            f"recorded vertices {tet_up} != [[0,0,0],[255,33,288],[288,-255,33],[363,108,-75]], {rebuilt}",
+        tet % (plane % -1, up):
+            f"recorded vertices {tet_up} != [[-288,255,-33],[-109,124,-349],[0,0,0],[75,363,-108]], {rebuilt}",
+        normals % (faces_down, plane % 1): f"recorded faces {faces_down} != {faces_up}, {rebuilt}",
+    }
+    for bad, message in differs.items():
+        assert verify_lines(capsys, tmp_path, good[0], bad) == (1, f"error: <file>:2: {message}\n"), bad
+    # A provenance that rebuilds no record of the kind says so.
     mismatched = (
         # A unit-cube triangle under a plane it does not come from.
         '{"kind":"triangle","p":[1,1,0],"q":[1,0,1],"side_sq":2,'
         '"provenance":{"quad":[7,7,7,7],"r":0,"s":-2,"m":5,"n":3}}',
-        '{"kind":"triangle","p":[1,-1,0],"q":[0,-1,1],"side_sq":2,'
-        '"provenance":{"quad":[1,1,1,1],"r":0,"s":-2,"m":0,"n":1}}',
-        tet % (plane.replace('"m":3,"n":0', '"m":0,"n":3') % 1, up),
-        tet % (plane % -1, up),
-        normals % (faces_down, plane % 1),
         tet % (plane.replace("[19,41,151,91]", "[41,19,151,91]") % 1, up),
         # k = 1: the only apex is on side 1.
         '{"kind":"tetrahedron","vertices":[[0,-1,1],[0,0,0],[1,-1,0],[1,0,1]],"side_sq":2,"ell":1,'
@@ -892,8 +905,38 @@ def test_verify_rejects_a_completion_with_its_vertices_out_of_order(capsys, tmp_
     assert code == 0 and rec["vertices"] == sorted(rec["vertices"])
     assert verify_lines(capsys, tmp_path, out.strip()) == (0, "")
     rec["vertices"].reverse()
-    code, err = verify_lines(capsys, tmp_path, json.dumps(rec))
-    assert code == 1 and err.startswith("error: <file>:1: the provenance "), err
+    assert verify_lines(capsys, tmp_path, json.dumps(rec)) == (
+        1, "error: <file>:1: recorded vertices [[1,0,1],[1,-1,0],[0,0,0],[0,-1,1]] != "
+        "[[0,-1,1],[0,0,0],[1,-1,0],[1,0,1]], rebuilt from the other fields\n")
+
+
+def test_verify_rebuilds_a_plane_record_only_by_its_producer(capsys, tmp_path, monkeypatch):
+    # Each record of complete --with-normals is rebuilt by one walk of _plane_records, and by no row of _REBUILDS.
+    code, out = run(capsys, "complete", "--quad", "19,41,151,91", "--m", "3", "--n", "0", "--with-normals")
+    lines = out.splitlines()
+    assert code == 0 and [json.loads(line)["provenance"]["sign"] for line in lines] == [1, 1, -1, -1]
+    walks = []
+    walk = cli._plane_records
+    monkeypatch.setattr(cli, "_plane_records", lambda *plane: walks.append(plane) or walk(*plane))
+    for kind in ("tetrahedron", "triangle", "normal-set"):
+        monkeypatch.setitem(cli._REBUILDS, kind, pytest.fail)
+    for line in lines:
+        walks.clear()
+        assert verify_lines(capsys, tmp_path, line) == (0, "")
+        assert walks == [([19, 41, 151, 91], 3, 0)]
+
+
+def test_complete_stops_at_a_normal_set_that_fails_orthogonality(capsys, monkeypatch):
+    from ztetra import ConstructionError, tetra
+
+    monkeypatch.setattr(tetra, "verify_orthogonality", lambda fns: False)
+    tet = tetra.LatticeTetrahedron.from_vertices(((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    with pytest.raises(ConstructionError, match="fail the orthogonality identities$"):
+        tetra.face_normals(tet)
+    code = main(["complete", "--quad", "1,1,1,1", "--m", "1", "--n", "0", "--with-normals"])
+    out, err = capsys.readouterr()
+    assert code == 1 and [json.loads(line)["kind"] for line in out.splitlines()] == ["tetrahedron"]
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_verify_rejects_degenerate_pairs(capsys, tmp_path):
@@ -988,7 +1031,7 @@ def test_verify_accepts_the_benchmark_verify_files(capsys, tmp_path, monkeypatch
 
 
 def test_verify_reads_stdin():
-    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    env = {**CHILD_ENV, "PYTHONHASHSEED": "0"}
     producer = subprocess.Popen([sys.executable, "-m", "ztetra", "enumerate-t0", "--ell", "15"],
                                 stdout=subprocess.PIPE, env=env)
     verifier = subprocess.run([sys.executable, "-m", "ztetra", "verify", "--file", "-"],
@@ -1006,7 +1049,7 @@ def test_import_does_not_load_fractions():
     # start-up time of every command.
     proc = subprocess.run(
         [sys.executable, "-c", "import ztetra, ztetra.cli, sys; print('fractions' in sys.modules)"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, env=CHILD_ENV, check=True)
     assert proc.stdout == "False\n"
 
 
@@ -1015,7 +1058,7 @@ def test_star_import_and_unique_exports():
     proc = subprocess.run(
         [sys.executable, "-c", "from ztetra import *; import ztetra; "
          "print(len(ztetra.__all__) == len(set(ztetra.__all__)))"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
 
@@ -1046,7 +1089,7 @@ def test_output_is_identical_across_processes():
     for hash_seed in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, "-m", "ztetra", "enumerate-t0", "--ell", "15"],
-            env={**os.environ, "PYTHONHASHSEED": hash_seed}, capture_output=True, check=True)
+            env={**CHILD_ENV, "PYTHONHASHSEED": hash_seed}, capture_output=True, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
 
@@ -1056,7 +1099,7 @@ def test_closed_output_pipe_is_quiet():
     # when the reader goes away; that must not produce a traceback.
     proc = subprocess.Popen(
         [sys.executable, "-m", "ztetra", "triples", "--kmax", "3000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     proc.stdout.readline()
     proc.stdout.close()
     code = proc.wait()
@@ -1072,7 +1115,7 @@ def test_closed_output_pipe_during_enumeration_is_quiet():
     # message at all.
     proc = subprocess.Popen(
         [sys.executable, "-m", "ztetra", "enumerate-t0", "--ell", "555"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     first = proc.stdout.readline()
     proc.stdout.close()
     code = proc.wait()

@@ -1,5 +1,6 @@
 """Tetrahedron completion, enumeration, face normals and their identities."""
 
+import re
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -517,12 +518,15 @@ def test_verify_orthogonality_detects_a_flipped_normal():
     assert not verify_orthogonality(FaceNormalSet(tuple(faces)))
 
 
-@pytest.mark.parametrize("count", [3, 5])
-def test_verify_orthogonality_needs_exactly_four_faces(count):
-    # The fifth face repeats (1, 1, 1, 1), which a check of the first four rows alone would pass.
+@pytest.mark.parametrize("count, width", [(3, 4), (5, 4), (4, 3), (4, 5)], ids=["3", "5", "4x3", "4x5"])
+def test_verify_orthogonality_needs_exactly_four_faces(count, width):
+    # The fifth face repeats (1, 1, 1, 1) and the fifth entry is 0, which a
+    # check of the first four rows and entries alone would pass.
     faces = face_normals(LatticeTetrahedron.from_vertices(((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)))).faces
-    faces = (faces + (NormalQuadruple(1, 1, 1, 1),))[:count]
-    with pytest.raises(DomainError, match=f"^a face normal set needs exactly 4 faces, got {count}$"):
+    faces = tuple((*face, 0)[:width] for face in (faces + (NormalQuadruple(1, 1, 1, 1),))[:count])
+    message = (f"a face normal set needs exactly 4 faces, got {count}" if count != 4
+               else f"a face needs exactly 4 entries (a, b, c, d), got {list(faces)}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         verify_orthogonality(FaceNormalSet(faces))
 
 
